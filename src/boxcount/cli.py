@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from boxcount import colouring, relations
-from boxcount.series import Monomial, Series
+from boxcount.series import MAX_TRUNC, Monomial, Series
 
 
 def _emit(series, fmt, max_terms):
@@ -42,8 +42,28 @@ def _group(parser, text):
         parser.error(str(exc))
 
 
+def _transfer_machine(parser, which):
+    from boxcount import fock
+
+    try:
+        return fock.machine(which)
+    except ValueError as exc:
+        parser.error(str(exc))
+
+
+def _trunc(text):
+    """argparse type of every -N: an integer in [0, MAX_TRUNC]."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"truncation must be an integer, got {text!r}") from None
+    if not 0 <= n <= MAX_TRUNC:
+        raise argparse.ArgumentTypeError(f"truncation must be in [0, {MAX_TRUNC}], got {n}")
+    return n
+
+
 def _add_series_opts(sub, threads=False):
-    sub.add_argument("-N", "--trunc", type=int, required=True, help="truncation degree")
+    sub.add_argument("-N", "--trunc", type=_trunc, required=True, help="truncation degree")
     sub.add_argument("--format", choices=("pretty", "json", "csv"), default="pretty")
     sub.add_argument("--max-terms", type=int, default=20, help="term cap for pretty output")
     if threads:
@@ -83,11 +103,11 @@ def main(argv=None):
         "target",
         help="zn:K | klein | pyramid | pair | transfer:{zn:K,pyramid,pyramid-checkerboard,z2z2} | sign:{zn:K,klein} | pairing:{zn:K,klein}",
     )
-    p.add_argument("-N", "--trunc", type=int, required=True)
+    p.add_argument("-N", "--trunc", type=_trunc, required=True)
     p.add_argument("--threads", type=int, default=None)
 
     p = sub.add_parser("verify-ops", help="check the operator-identity catalogue")
-    p.add_argument("-N", "--trunc", type=int, default=6)
+    p.add_argument("-N", "--trunc", type=_trunc, default=6)
     p.add_argument("--basis", type=int, default=4, help="largest basis partition size")
 
     args = parser.parse_args(argv)
@@ -117,7 +137,7 @@ def _cmd_formula(parser, args):
     elif args.which == "klein":
         series = formulas.closed_klein(args.trunc)
     elif args.which.startswith("zn:"):
-        series = formulas.closed_zn(int(args.which[3:]), args.trunc)
+        series = formulas.closed_orbifold(_group(parser, args.which), args.trunc)
     else:
         parser.error(f"unknown formula {args.which!r}")
     _emit(series, args.format, args.max_terms)
@@ -127,17 +147,8 @@ def _cmd_formula(parser, args):
 def _cmd_transfer(parser, args):
     from boxcount import fock
 
-    if args.which == "pyramid":
-        series = fock.transfer_pyramid(args.trunc)
-    elif args.which == "pyramid-checkerboard":
-        series = fock.transfer_pyramid_checkerboard(args.trunc)
-    elif args.which == "z2z2":
-        series = fock.transfer_klein(args.trunc)
-    elif args.which.startswith("zn:"):
-        series = fock.transfer_zn(int(args.which[3:]), args.trunc)
-    else:
-        parser.error(f"unknown transfer machine {args.which!r}")
-    _emit(series, args.format, args.max_terms)
+    machine = _transfer_machine(parser, args.which)
+    _emit(fock.evaluate(machine, args.trunc), args.format, args.max_terms)
     return 0
 
 
@@ -192,26 +203,12 @@ def _cmd_verify(parser, args):
             formulas.closed_orbifold(group, N),
         )
     if target.startswith("transfer:"):
-        which = target[len("transfer:") :]
-        if which == "pyramid":
-            return _report("transfer machine", fock.transfer_pyramid(N), "enumeration", pyramid_series(N, threads=args.threads))
-        if which == "pyramid-checkerboard":
-            return _report("transfer machine", fock.transfer_pyramid_checkerboard(N), "enumeration", pyramid_series(N, threads=args.threads))
-        if which == "z2z2":
-            return _report(
-                "transfer machine",
-                fock.transfer_klein(N),
-                "enumeration",
-                coloured_series(colouring.klein_group(), N, threads=args.threads),
-            )
-        if which.startswith("zn:"):
-            return _report(
-                "transfer machine",
-                fock.transfer_zn(int(which[3:]), N),
-                "enumeration",
-                coloured_series(colouring.zn_group(int(which[3:])), N, threads=args.threads),
-            )
-        parser.error(f"unknown transfer machine {which!r}")
+        machine = _transfer_machine(parser, target[len("transfer:") :])
+        if machine.group is None:
+            enumerated = pyramid_series(N, threads=args.threads)
+        else:
+            enumerated = coloured_series(machine.group, N, threads=args.threads)
+        return _report("transfer machine", fock.evaluate(machine, N), "enumeration", enumerated)
     if target.startswith("sign:"):
         group = _group(parser, target[len("sign:") :])
         signed = signed_series(group, N, threads=args.threads)

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from boxcount.series import MAX_VARS
+
 
 @dataclass(frozen=True)
 class Group:
@@ -26,8 +28,8 @@ class Group:
 
 
 def zn_group(n):
-    if n < 1:
-        raise ValueError("cyclic order must be at least 1")
+    if not 1 <= n <= MAX_VARS:
+        raise ValueError(f"cyclic order must be between 1 and {MAX_VARS} (one series variable per element)")
     return Group("zn", n, tuple(f"q{i}" for i in range(n)))
 
 
@@ -47,9 +49,11 @@ def parse_group(text):
         return z3diag_group()
     if text.startswith("zn:"):
         try:
-            return zn_group(int(text[3:]))
+            order = int(text[3:])
         except ValueError:
             pass
+        else:
+            return zn_group(order)
     raise ValueError(f"unknown group {text!r} (expected zn:<order>, klein, or z3diag)")
 
 

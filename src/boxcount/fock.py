@@ -10,13 +10,40 @@ Composing weight and raising/lowering operators across a window of slices
 evaluates the coloured generating series of box piles and pyramid piles;
 those transfer evaluations are independent of both the direct enumeration
 and the closed product formulas.
+
+Transfer machines are data.  A `Machine` is a slice table: its series
+variables, the box-pile colouring it counts (None for pyramid piles), and a
+function taking a slice index s to (weight operator, primed).  `evaluate`
+is the one evaluator: it walks s from N down to -N-1, applying slice s's
+creator (raising for s >= 0, lowering below, conjugating first when primed,
+argument 1) and then slice s's weight.  `MACHINES` holds the fixed tables
+and `machine("zn:K")` builds the cyclic ones.
+
+The walk is pruned by a degree budget.  Right after slice s's creator, a
+partition lam still owes its own weight |lam|.  For s >= 0 the creators up
+to slice 0 only raise, and a step of either kind, plain or primed, yields a
+partition containing the one before it; so slices s, ..., 0 each weigh at
+least |lam|, and at least (s+1)|lam| more boxes are still to be weighted.
+For s < 0 slice s itself weighs |lam|.  A term whose half-degree plus twice
+that bound exceeds 2N cannot reach a coefficient of degree <= N, so the
+creator never produces it, nor any partner too large to fit the budget.
+
+No tail bound is used.  A plain lowering step keeps lam_(i+1) boxes in row
+i, so along plain slices below 0 the remaining weight is also at least
+sum((i-1) * lam_i).  A primed step removes a vertical strip instead and can
+shorten every row at once, so on the alternating plain/primed pyramid
+tables that bound overstates the remaining weight and drops live terms.
+Only the containment bound holds for both kinds of step.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 from boxcount import _kernels, young
+from boxcount.colouring import Group, klein_group, parse_group, zn_group
+from boxcount.pyramid import KLEIN_VARS, SLICE_COLOUR
 from boxcount.series import Monomial, Series, _pack
 
 
@@ -156,22 +183,29 @@ def _partners_below(mu, primed):
     )
 
 
-def _apply_gamma(state, grow, primed, arg, size_cap):
+def _apply_gamma(state, grow, primed, arg, size_cap, reserve=0):
     if arg.vars != state.vars:
         raise ValueError("argument variables differ from the state's")
     cap = 2 * state.trunc
     shift = 8 * len(state.vars)
     key_arg = arg.packed()
     deg_arg = arg.degree_halves
+    # half-degree an added box costs: its own argument power, plus one box
+    # in each of the `reserve` weights still to come
+    per_box = deg_arg + 2 * reserve
     out = {}
     for mu, amp in state.amps.items():
         if not amp:
             continue
+        size = sum(mu)
         mindeg = min(k >> shift for k in amp)
         room = cap - mindeg
         if grow:
-            if deg_arg > 0:
-                limit = sum(mu) + room // deg_arg
+            if per_box > 0:
+                budget = room - 2 * reserve * size
+                if budget < 0:
+                    continue
+                limit = size + budget // per_box
                 if size_cap is not None:
                     limit = min(limit, size_cap)
             elif size_cap is not None:
@@ -182,11 +216,12 @@ def _apply_gamma(state, grow, primed, arg, size_cap):
         else:
             partners = _partners_below(mu, primed)
         for lam, delta in partners:
-            if deg_arg * delta > room:
+            lam_cap = cap - 2 * reserve * (size + delta if grow else size - delta)
+            if deg_arg * delta > lam_cap - mindeg:
                 continue
             coef = -1 if (arg.sign < 0 and delta % 2) else 1
             dst = out.setdefault(lam, {})
-            _kernels.scale_accumulate(dst, amp, delta * key_arg, coef, cap, shift)
+            _kernels.scale_accumulate(dst, amp, delta * key_arg, coef, lam_cap, shift)
     return FockState(state.vars, state.trunc, {l: a for l, a in out.items() if a})
 
 
@@ -223,11 +258,18 @@ def _apply_alpha(state, n):
     return FockState(state.vars, state.trunc, {l: a for l, a in out.items() if a})
 
 
-def apply_op(state, op, size_cap=None):
+def apply_op(state, op, size_cap=None, reserve=0):
+    """Apply one operator.
+
+    `size_cap` bounds the partitions a raising operator creates.  A positive
+    `reserve` tells a gamma operator that `reserve` more weight operators
+    will each add at least the size of each partition it creates; terms
+    that could then no longer stay within the truncation are never created.
+    """
     kind = op[0]
     if kind == "gamma":
         _, grow, primed, arg = op
-        return _apply_gamma(state, grow, primed, arg, size_cap)
+        return _apply_gamma(state, grow, primed, arg, size_cap, reserve)
     if kind == "weight":
         g = op[1]
         m = len(state.vars)
@@ -290,92 +332,82 @@ def check_relation(vars, trunc, left_ops, right_ops, scalar=None, max_basis=6):
 # -- transfer machines -------------------------------------------------------
 
 
-def _machine(vars, trunc, weight_for, creator_for):
-    """Evaluate a slice machine over the window [-trunc-1, trunc].
+class Machine(NamedTuple):
+    """A slice table; the module docstring describes the walk."""
 
-    Each slice s contributes its weight right after its creator; the extra
-    leftmost step closes the walk so the last weighted slice may be
-    non-empty.  Any pile with a non-empty slice outside the window has more
-    than `trunc` boxes, so the window is exhaustive at this truncation.
+    vars: tuple
+    slices: Callable  # slice index -> (weight operator, creator primed?)
+    group: Group | None  # colouring of the box piles counted; None: pyramid
+
+
+def _checkerboard_weight(s):
+    if s % 2 == 0:
+        return weight2_op(0, 3)
+    return weight2_op(1, 2) if s > 0 else weight2_op(2, 1)
+
+
+def _zn_machine(group):
+    n = group.order
+    return Machine(group.variables, lambda s: (weight_op(s % n), False), group)
+
+
+MACHINES = {
+    # pyramid piles on diagonal slices, 4-periodic colours
+    "pyramid": Machine(KLEIN_VARS, lambda s: (weight_op(SLICE_COLOUR[s % 4]), s % 2 != 0), None),
+    # pyramid piles sliced by x + z: two colours per slice, split by the
+    # cell checkerboard
+    "pyramid-checkerboard": Machine(KLEIN_VARS, lambda s: (_checkerboard_weight(s), s % 2 != 0), None),
+    # parity-coloured box piles: plane-partition slices, checkerboard split
+    "z2z2": Machine(klein_group().variables, lambda s: (_checkerboard_weight(s), False), klein_group()),
+}
+
+
+def machine(name):
+    """The slice table called `name`: zn:<order> or a key of MACHINES."""
+    if name in MACHINES:
+        return MACHINES[name]
+    if name.startswith("zn:"):
+        return _zn_machine(parse_group(name))
+    raise ValueError(f"unknown transfer machine {name!r} (expected zn:<order>, {', '.join(MACHINES)})")
+
+
+def evaluate(machine, trunc):
+    """Evaluate a slice table over the window [-trunc-1, trunc].
+
+    The walk runs from slice trunc down to -trunc-1; each slice applies its
+    creator, then its weight.  The extra lowest slice closes the walk so the
+    last weighted slice may be non-empty.  Any pile with a non-empty slice
+    outside the window has more than `trunc` boxes, so the window is
+    exhaustive at this truncation.
+
+    Each creator is told how many weights, counting its own slice's, will
+    each add at least the size of the partition it creates (the module
+    docstring gives the bound); terms that cannot stay within the
+    truncation are never created.
     """
-    ops = []
-    for s in range(-trunc - 1, trunc + 1):
-        ops.append(weight_for(s))
-        ops.append(creator_for(s))
-    state = apply_ops(FockState.vacuum(vars, trunc), ops, size_cap=trunc)
+    one = Monomial.one(machine.vars)
+    state = FockState.vacuum(machine.vars, trunc)
+    for s in range(trunc, -trunc - 2, -1):
+        weight, primed = machine.slices(s)
+        if s >= 0:
+            state = apply_op(state, gamma_minus(one, primed), reserve=s + 1)
+        else:
+            state = apply_op(state, gamma_plus(one, primed), reserve=1)
+        state = apply_op(state, weight)
     return state.amplitude(())
 
 
 def transfer_zn(n, trunc):
-    """Slice-machine evaluation of the cyclic-coloured box series."""
-    from boxcount.colouring import zn_group
-
-    group = zn_group(n)
-    one = Monomial.one(group.variables)
-
-    def weight_for(s):
-        return weight_op(s % n)
-
-    def creator_for(s):
-        return gamma_minus(one) if s >= 0 else gamma_plus(one)
-
-    return _machine(group.variables, trunc, weight_for, creator_for)
+    return evaluate(_zn_machine(zn_group(n)), trunc)
 
 
 def transfer_pyramid(trunc):
-    """Slice machine for pyramid piles: diagonal slices, 4-periodic colours."""
-    from boxcount.pyramid import KLEIN_VARS, SLICE_COLOUR
-
-    one = Monomial.one(KLEIN_VARS)
-
-    def weight_for(s):
-        return weight_op(SLICE_COLOUR[s % 4])
-
-    def creator_for(s):
-        primed = s % 2 != 0
-        return gamma_minus(one, primed) if s >= 0 else gamma_plus(one, primed)
-
-    return _machine(KLEIN_VARS, trunc, weight_for, creator_for)
+    return evaluate(MACHINES["pyramid"], trunc)
 
 
 def transfer_pyramid_checkerboard(trunc):
-    """Slice machine for pyramid piles on the transverse diagonal.
-
-    Slicing by x + z leaves two colours per slice, split by the cell
-    checkerboard; creators still conjugate on odd slices.
-    """
-    from boxcount.pyramid import KLEIN_VARS
-
-    one = Monomial.one(KLEIN_VARS)
-
-    def weight_for(s):
-        if s % 2 == 0:
-            return weight2_op(0, 3)
-        return weight2_op(1, 2) if s > 0 else weight2_op(2, 1)
-
-    def creator_for(s):
-        primed = s % 2 != 0
-        return gamma_minus(one, primed) if s >= 0 else gamma_plus(one, primed)
-
-    return _machine(KLEIN_VARS, trunc, weight_for, creator_for)
+    return evaluate(MACHINES["pyramid-checkerboard"], trunc)
 
 
 def transfer_klein(trunc):
-    """Slice machine for the parity-coloured box series.
-
-    Box piles slice like plane partitions (all creators unprimed); the
-    parity colouring splits each slice by the cell checkerboard.
-    """
-    from boxcount.pyramid import KLEIN_VARS
-
-    one = Monomial.one(KLEIN_VARS)
-
-    def weight_for(s):
-        if s % 2 == 0:
-            return weight2_op(0, 3)
-        return weight2_op(1, 2) if s > 0 else weight2_op(2, 1)
-
-    def creator_for(s):
-        return gamma_minus(one) if s >= 0 else gamma_plus(one)
-
-    return _machine(KLEIN_VARS, trunc, weight_for, creator_for)
+    return evaluate(MACHINES["z2z2"], trunc)

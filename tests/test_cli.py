@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import boxcount
 from boxcount import cli
 from boxcount.colouring import zn_group
 from boxcount.enum3d import coloured_series
@@ -63,7 +69,25 @@ def test_usage_errors_exit_2(capsys):
     for argv in (["formula", "nope", "-N", "3"],
                  ["transfer", "nope", "-N", "3"],
                  ["enum", "so3", "-N", "3"],
-                 ["verify", "nope", "-N", "3"]):
+                 ["verify", "nope", "-N", "3"],
+                 # -N outside [0, 63], in every subcommand
+                 ["transfer", "z2z2", "-N", "64"],
+                 ["transfer", "z2z2", "-N", "-1"],
+                 ["transfer", "z2z2", "-N", "x"],
+                 ["verify", "transfer:z2z2", "-N", "64"],
+                 ["formula", "klein", "-N", "64"],
+                 ["enum", "klein", "-N", "64"],
+                 ["pyramid", "-N", "-1"],
+                 ["verify-ops", "-N", "64"],
+                 # machine and group names that do not parse
+                 ["transfer", "zn:0", "-N", "3"],
+                 ["transfer", "zn:abc", "-N", "3"],
+                 ["transfer", "zn:8", "-N", "3"],
+                 ["verify", "transfer:zn:0", "-N", "3"],
+                 ["verify", "transfer:zn:abc", "-N", "3"],
+                 ["formula", "zn:abc", "-N", "3"],
+                 ["formula", "zn:8", "-N", "3"],
+                 ["enum", "zn:8", "-N", "3"]):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2
@@ -78,3 +102,16 @@ def test_mismatch_reporting(capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert out.startswith("MISMATCH at 1:") and "left has 1" in out and "right has 2" in out
+
+
+def test_out_of_range_truncation_is_rejected_before_any_work():
+    src = str(Path(boxcount.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "boxcount.cli", "transfer", "z2z2", "-N", "64"],
+        env=env, capture_output=True, text=True, timeout=20,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert time.monotonic() - start < 5
+    assert "Traceback" not in proc.stderr

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from boxcount import fock, relations, young
 from boxcount.colouring import klein_group, zn_group
 from boxcount.enum3d import coloured_series
+from boxcount.formulas import closed_klein, closed_pyramid, closed_zn
 from boxcount.fock import FockState, alpha_op, apply_op, apply_ops, bracket, even_minus, gamma_minus, gamma_plus
 from boxcount.pyramid import pyramid_series
 from boxcount.series import Monomial, Series
@@ -182,3 +183,38 @@ def test_transfer_machines_match_enumeration():
     assert fock.transfer_klein(6) == coloured_series(klein_group(), 6)
     assert fock.transfer_pyramid(6) == pyramid_series(6)
     assert fock.transfer_pyramid_checkerboard(6) == pyramid_series(6)
+
+
+# every slice table, plain and primed
+MACHINE_NAMES = ["zn:1", "zn:2", "zn:3", *fock.MACHINES]
+
+
+def unpruned_machine(machine, trunc):
+    """The slice table as one plain operator word, pruned only by size_cap."""
+    one = Monomial.one(machine.vars)
+    ops = []
+    for s in range(-trunc - 1, trunc + 1):
+        weight, primed = machine.slices(s)
+        ops.append(weight)
+        ops.append(gamma_minus(one, primed) if s >= 0 else gamma_plus(one, primed))
+    return apply_ops(FockState.vacuum(machine.vars, trunc), ops, size_cap=trunc).amplitude(())
+
+
+@pytest.mark.parametrize("name", MACHINE_NAMES)
+def test_degree_budget_pruning_is_exact(name):
+    # a bound that drops live terms (such as a row-tail bound on the primed
+    # pyramid slices) changes some coefficient here
+    machine = fock.machine(name)
+    for trunc in range(9):
+        assert fock.evaluate(machine, trunc) == unpruned_machine(machine, trunc), trunc
+
+
+def test_transfer_machines_match_closed_forms_at_depth():
+    N = 24
+    assert fock.transfer_zn(2, N) == closed_zn(2, N)
+    assert fock.transfer_zn(3, N) == closed_zn(3, N)
+    assert fock.transfer_klein(N) == closed_klein(N)
+    pyramid = closed_pyramid(N)
+    assert fock.transfer_pyramid(N) == pyramid
+    assert fock.transfer_pyramid_checkerboard(N) == pyramid
+
