@@ -5,16 +5,13 @@ precision integer coefficient.  A key stores one exponent byte per variable
 (exponents are counted in half-units) plus the total half-degree in the top
 byte, so a degree test is a shift and a compare, and multiplying monomials
 is integer addition of keys.
-
-A compiled twin of these functions lives in ``boxcount._speedups``; it is
-picked up at import time unless BOXCOUNT_PURE=1 is set or the extension was
-not built.
 """
 
-import os
+# which implementation of the kernels is loaded; benchmark runs record it
+BACKEND = "python"
 
 
-def mul_terms_py(a, b, cap, shift):
+def mul_terms(a, b, cap, shift):
     """Multiply two term dicts, dropping products above half-degree `cap`."""
     out = {}
     if not a or not b:
@@ -38,7 +35,7 @@ def mul_terms_py(a, b, cap, shift):
     return {k: v for k, v in out.items() if v}
 
 
-def scale_accumulate_py(dst, src, key_add, coef, cap, shift):
+def scale_accumulate(dst, src, key_add, coef, cap, shift):
     """dst += coef * x^key_add * src, in place, skipping terms above `cap`."""
     dadd = key_add >> shift
     get = dst.get
@@ -51,18 +48,3 @@ def scale_accumulate_py(dst, src, key_add, coef, cap, shift):
             dst[kk] = nv
         elif kk in dst:
             del dst[kk]
-
-
-mul_terms = mul_terms_py
-scale_accumulate = scale_accumulate_py
-BACKEND = "python"
-
-if os.environ.get("BOXCOUNT_PURE") != "1":
-    try:
-        from boxcount._speedups import mul_terms_c, scale_accumulate_c
-
-        mul_terms = mul_terms_c
-        scale_accumulate = scale_accumulate_c
-        BACKEND = "c"
-    except ImportError:
-        pass

@@ -9,10 +9,14 @@ on a mismatch.  Exit codes: 0 agreement, 1 mismatch, 2 usage.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from boxcount import colouring, relations
 from boxcount.series import MAX_TRUNC, Monomial, Series
+
+# upper bound of --threads: each worker is one OS thread
+MAX_THREADS = 64
 
 
 def _emit(series, fmt, max_terms):
@@ -35,11 +39,17 @@ def _report(name_a, a, name_b, b):
     return 1
 
 
-def _group(parser, text):
+def _group(parser, text, *needs):
+    """Parse a group name, then look up each of `needs` (functions of the
+    group, such as its closed-form rows) so that a group lacking one is a
+    usage error before any work starts."""
     try:
-        return colouring.parse_group(text)
+        group = colouring.parse_group(text)
+        for need in needs:
+            need(group)
     except ValueError as exc:
         parser.error(str(exc))
+    return group
 
 
 def _transfer_machine(parser, which):
@@ -62,12 +72,33 @@ def _trunc(text):
     return n
 
 
+def _threads(text):
+    """argparse type of every --threads and of BOXCOUNT_THREADS: an integer in [1, MAX_THREADS]."""
+    try:
+        k = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"thread count must be an integer, got {text!r}") from None
+    if not 1 <= k <= MAX_THREADS:
+        raise argparse.ArgumentTypeError(f"thread count must be in [1, {MAX_THREADS}], got {k}")
+    return k
+
+
+def _add_threads(sub):
+    # a string default goes through _threads too, so a bad BOXCOUNT_THREADS is a usage error
+    sub.add_argument(
+        "--threads",
+        type=_threads,
+        default=os.environ.get("BOXCOUNT_THREADS", "1"),
+        help=f"worker threads, 1..{MAX_THREADS} (default: BOXCOUNT_THREADS or 1)",
+    )
+
+
 def _add_series_opts(sub, threads=False):
     sub.add_argument("-N", "--trunc", type=_trunc, required=True, help="truncation degree")
     sub.add_argument("--format", choices=("pretty", "json", "csv"), default="pretty")
     sub.add_argument("--max-terms", type=int, default=20, help="term cap for pretty output")
     if threads:
-        sub.add_argument("--threads", type=int, default=None, help="worker threads (default: BOXCOUNT_THREADS or 1)")
+        _add_threads(sub)
 
 
 def main(argv=None):
@@ -104,7 +135,7 @@ def main(argv=None):
         help="zn:K | klein | pyramid | pair | transfer:{zn:K,pyramid,pyramid-checkerboard,z2z2} | sign:{zn:K,klein} | pairing:{zn:K,klein}",
     )
     p.add_argument("-N", "--trunc", type=_trunc, required=True)
-    p.add_argument("--threads", type=int, default=None)
+    _add_threads(p)
 
     p = sub.add_parser("verify-ops", help="check the operator-identity catalogue")
     p.add_argument("-N", "--trunc", type=_trunc, default=6)
@@ -163,13 +194,13 @@ def _cmd_sign(parser, args):
 def _cmd_dt(parser, args):
     from boxcount import formulas
 
-    group = _group(parser, args.group)
     if args.side == "orbifold":
+        group = _group(parser, args.group, formulas.orbifold_rows, formulas.dt_sign_variables)
         series = formulas.dt_orbifold(group, args.trunc)
-    elif args.side == "resolution":
-        series = formulas.dt_resolution(group, args.trunc)
     else:
-        series = formulas.dt_resolution_paired(group, args.trunc)
+        group = _group(parser, args.group, formulas.resolution_rows)
+        side = formulas.dt_resolution if args.side == "resolution" else formulas.dt_resolution_paired
+        series = side(group, args.trunc)
     _emit(series, args.format, args.max_terms)
     return 0
 
@@ -210,13 +241,15 @@ def _cmd_verify(parser, args):
             enumerated = coloured_series(machine.group, N, threads=args.threads)
         return _report("transfer machine", fock.evaluate(machine, N), "enumeration", enumerated)
     if target.startswith("sign:"):
-        group = _group(parser, target[len("sign:") :])
+        group = _group(parser, target[len("sign:") :], formulas.orbifold_rows, formulas.dt_sign_variables)
         signed = signed_series(group, N, threads=args.threads)
         subst = coloured_series(group, N, threads=args.threads).substitute_signs(formulas.dt_sign_variables(group))
         rc = _report("signed enumeration", signed, "sign substitution", subst)
         return rc or _report("signed enumeration", signed, "signed closed formula", formulas.dt_orbifold(group, N))
     if target.startswith("pairing:"):
-        group = _group(parser, target[len("pairing:") :])
+        group = _group(
+            parser, target[len("pairing:") :], formulas.orbifold_rows, formulas.dt_sign_variables, formulas.resolution_rows
+        )
         return _report(
             "signed orbifold formula",
             formulas.dt_orbifold(group, N),

@@ -1,15 +1,28 @@
 """Closed product formulas for the coloured box-counting series.
 
-Everything is assembled from the two MacMahon-type products in
-boxcount.series; the enumeration and transfer modules compute the same
-series by entirely different means, and the tests compare them exactly.
+Every closed form is a product of generalized MacMahon functions, and is
+written here as data: a list of rows (x, q, p, two_sided), each standing
+for M(x, q)**p, or for the two-sided M~(x, q)**p when two_sided is set
+(boxcount.series.macmahon and macmahon_tilde).  A negative power p is a
+denominator.  `evaluate` expands every row into its factor pairs (u, m*p)
+and hands the whole list to boxcount.series.euler_product, which computes
+the product of (1 - u)**(-e) in one graded recurrence; no series is
+inverted or raised to a power on the way.
+
+The signed forms on the resolved side read one table of curve classes.
+`dt_resolution` puts each class on the curve variables, and
+`dt_resolution_paired` puts the same class on the colour variables as a
+two-sided row, which is the pairing across the wall.  The enumeration and
+transfer modules compute the same series by entirely different means, and
+the tests compare them exactly.
 """
 
 from __future__ import annotations
 
-from boxcount.colouring import Group, klein_group, zn_group
+from boxcount.colouring import klein_group, zn_group
 from boxcount.pyramid import KLEIN_VARS
-from boxcount.series import Monomial, Series, macmahon, macmahon_tilde
+from boxcount.series import Monomial, euler_product, macmahon_factors
+from boxcount.series import macmahon, macmahon_tilde  # noqa: F401  (re-exported: perfbench/tracer.py probes them here)
 
 
 def regular_monomial(group):
@@ -26,6 +39,16 @@ def euler_number(group):
 
 def _interval(vars, a, b):
     return Monomial.from_exponents(vars, {vars[i]: 1 for i in range(a, b + 1)})
+
+
+def evaluate(rows, trunc):
+    """The product of the MacMahon rows (x, q, p, two_sided), to degree `trunc`."""
+    factors = [
+        (u, m * p)
+        for x, q, p, two_sided in rows
+        for u, m in macmahon_factors(x, q, trunc, two_sided)
+    ]
+    return euler_product(rows[0][1].vars, trunc, factors)
 
 
 def _curve_classes(group):
@@ -49,30 +72,54 @@ def _curve_classes(group):
     raise ValueError(f"no resolution data for group {group}")
 
 
-def closed_orbifold(group, trunc):
-    """Closed form of the coloured box-counting series of the group action."""
+def orbifold_rows(group):
+    """The rows of the closed form of the group action's box-counting series."""
     vars = group.variables
     q = regular_monomial(group)
     one = Monomial.one(vars)
     if group.kind == "zn":
         n = group.order
-        result = macmahon(one, q, trunc) ** n
-        for a in range(1, n):
-            for b in range(a, n):
-                result = result * macmahon_tilde(_interval(vars, a, b), q, trunc)
-        return result
+        return [(one, q, n, False)] + [
+            (_interval(vars, a, b), q, 1, True) for a in range(1, n) for b in range(a, n)
+        ]
     if group.kind == "klein":
         qa = Monomial.var(vars, "qa")
         qb = Monomial.var(vars, "qb")
         qc = Monomial.var(vars, "qc")
-        num = macmahon(one, q, trunc) ** 4
-        num = num * macmahon_tilde(qa * qb, q, trunc)
-        num = num * macmahon_tilde(qa * qc, q, trunc)
-        num = num * macmahon_tilde(qb * qc, q, trunc)
-        den = macmahon_tilde(-qa, q, trunc) * macmahon_tilde(-qb, q, trunc)
-        den = den * macmahon_tilde(-qc, q, trunc) * macmahon_tilde(-(qa * qb * qc), q, trunc)
-        return num * den.inverse()
+        return [
+            (one, q, 4, False),
+            (qa * qb, q, 1, True),
+            (qa * qc, q, 1, True),
+            (qb * qc, q, 1, True),
+            (-qa, q, -1, True),
+            (-qb, q, -1, True),
+            (-qc, q, -1, True),
+            (-(qa * qb * qc), q, -1, True),
+        ]
     raise ValueError(f"no closed orbifold formula for group {group}")
+
+
+def pyramid_rows():
+    """The rows of the pyramid series on the variables (q0, qa, qb, qc)."""
+    vars = KLEIN_VARS
+    q = Monomial.from_exponents(vars, {v: 1 for v in vars})
+    qa = Monomial.var(vars, "qa")
+    qb = Monomial.var(vars, "qb")
+    qc = Monomial.var(vars, "qc")
+    return [
+        (Monomial.one(vars), q, 4, False),
+        (qa * qc, q, 1, True),
+        (qb * qc, q, 1, True),
+        (-qa, q, -1, True),
+        (-qb, q, -1, True),
+        (-qc, q, -1, True),
+        (-(qa * qb * qc), q, -1, True),
+    ]
+
+
+def closed_orbifold(group, trunc):
+    """Closed form of the coloured box-counting series of the group action."""
+    return evaluate(orbifold_rows(group), trunc)
 
 
 def closed_zn(n, trunc):
@@ -85,18 +132,7 @@ def closed_klein(trunc):
 
 def closed_pyramid(trunc):
     """Closed form of the pyramid series on the variables (q0, qa, qb, qc)."""
-    vars = KLEIN_VARS
-    q = Monomial.from_exponents(vars, {v: 1 for v in vars})
-    one = Monomial.one(vars)
-    qa = Monomial.var(vars, "qa")
-    qb = Monomial.var(vars, "qb")
-    qc = Monomial.var(vars, "qc")
-    num = macmahon(one, q, trunc) ** 4
-    num = num * macmahon_tilde(qa * qc, q, trunc)
-    num = num * macmahon_tilde(qb * qc, q, trunc)
-    den = macmahon_tilde(-qa, q, trunc) * macmahon_tilde(-qb, q, trunc)
-    den = den * macmahon_tilde(-qc, q, trunc) * macmahon_tilde(-(qa * qb * qc), q, trunc)
-    return num * den.inverse()
+    return evaluate(pyramid_rows(), trunc)
 
 
 def dt_sign_variables(group):
@@ -121,30 +157,34 @@ def resolution_variables(group):
     raise ValueError(f"no resolution data for group {group}")
 
 
+def resolution_rows(group, paired=False):
+    """M(1, -q)**e, with e the Euler number, then one row M(beta, -q)**n for
+    each curve class beta of multiplicity n.
+
+    Unpaired, the rows live on the resolution variables (q, v...): q is the
+    box variable, and each class moves from the i-th colour variable to the
+    i-th curve variable (no class involves q0, whose place q takes).  Paired,
+    the same rows stay on the colour variables, q is the regular monomial,
+    and each curve row is two-sided.
+    """
+    if paired:
+        vars, q = group.variables, regular_monomial(group)
+    else:
+        vars = resolution_variables(group)
+        q = Monomial.var(vars, "q")
+    rows = [(Monomial.one(vars), -q, euler_number(group), False)]
+    for beta, mult in _curve_classes(group):
+        rows.append((Monomial(vars, beta.halves, beta.sign), -q, mult, paired))
+    return rows
+
+
 def dt_resolution(group, trunc):
     """Signed box counting on the resolved space, in box and curve variables.
 
     The curve classes carry the variables v; the box class carries q with
     alternating signs.
     """
-    vars = resolution_variables(group)
-    e = euler_number(group)
-    q = Monomial.var(vars, "q")
-    result = macmahon(Monomial.one(vars), -q, trunc) ** e
-    inverse_part = Series.one(vars, trunc)
-    for beta, mult in _curve_classes(group):
-        # transcribe the colour monomial onto the matching v variables
-        v_beta = Monomial(
-            vars, tuple([0] + list(beta.halves[1:])), beta.sign
-        )
-        factor = macmahon(v_beta, -q, trunc)
-        if mult > 0:
-            result = result * factor
-        else:
-            inverse_part = inverse_part * factor
-    if not inverse_part.is_one():
-        result = result * inverse_part.inverse()
-    return result
+    return evaluate(resolution_rows(group), trunc)
 
 
 def dt_resolution_paired(group, trunc):
@@ -155,20 +195,7 @@ def dt_resolution_paired(group, trunc):
     with the i-th colour variable), and the pairing absorbs one copy of the
     degree-zero normalization, leaving a single signed MacMahon prefactor.
     """
-    vars = group.variables
-    q = regular_monomial(group)
-    e = euler_number(group)
-    num = macmahon(Monomial.one(vars), -q, trunc) ** e
-    den = Series.one(vars, trunc)
-    for beta, mult in _curve_classes(group):
-        factor = macmahon_tilde(beta, -q, trunc)
-        if mult > 0:
-            num = num * factor
-        else:
-            den = den * factor
-    if den.is_one():
-        return num
-    return num * den.inverse()
+    return evaluate(resolution_rows(group, paired=True), trunc)
 
 
 def dt_pairing_holds(group, trunc):

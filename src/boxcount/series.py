@@ -10,12 +10,18 @@ byte above them.  Adding keys multiplies monomials, and the truncation test
 is a shift.  The packing is why at most 7 variables and truncation order at
 most 63 are supported: every byte stays below 127 and the whole key fits a
 signed 64-bit int, so sums of two keys can never carry between lanes.
+
+Every infinite product in the package is evaluated by one function,
+`euler_product(vars, trunc, factors)`: the product of (1 - u)**(-e) over a
+list of (signed monomial u of positive degree, integer e) pairs, computed
+degree by degree from the logarithmic derivative (the Euler transform).
+The MacMahon products `macmahon` and `macmahon_tilde` and
+`geometric_inverse` only build their factor lists and call it.
 """
 
 from __future__ import annotations
 
 import json
-from math import comb
 
 from boxcount import _kernels
 
@@ -522,29 +528,92 @@ class Series:
 # -- product formulas ------------------------------------------------------
 
 
-def _inv_one_minus_terms(u, n, cap, shift):
-    """(1 - u)**(-n) as a term dict, truncated at half-degree `cap`."""
-    d = u.degree_halves
-    if d == 0:
-        raise ValueError("factor argument must have positive degree")
-    key = u.packed()
-    terms = {0: 1}
-    k = 1
-    while k * d <= cap:
-        c = comb(n + k - 1, k)
-        if u.sign < 0 and k % 2:
-            c = -c
-        terms[k * key] = c
-        k += 1
-    return terms
+def euler_product(vars, trunc, factors):
+    """The product of (1 - u)**(-e) over the (u, e) pairs in `factors`.
+
+    Each u is a signed monomial of positive degree on `vars` and each e an
+    integer of either sign; a u may appear more than once.  The product F is
+    built by the graded Euler transform.  Let E multiply a term by its total
+    half-degree.  Then E log F = sum of e * deg(u) * sum_k sign(u)**k * u**k
+    over the factors, a series L with integer coefficients, and E F = F * L
+    gives, for the half-degree-D part a_D of F,
+
+        D * a_D = sum over j >= 1 of L_j * a_(D-j),    a_0 = 1.
+
+    The division by D is exact: every factor has integer coefficients (a
+    binomial series for e > 0, a polynomial for e < 0), so F does too, and
+    the recurrence fixes each a_D from the lower parts, so its integer
+    solution is F.  A remainder would mean a broken kernel, and raises.
+    """
+    _check_vars(vars)
+    if not isinstance(trunc, int) or not 0 <= trunc <= MAX_TRUNC:
+        raise ValueError(f"trunc must be an integer in [0, {MAX_TRUNC}]")
+    cap = 2 * trunc
+    shift = 8 * len(vars)
+    log_terms = {}  # L, by packed monomial
+    for u, e in factors:
+        if u.vars != vars:
+            raise ValueError("variable sets differ")
+        d = u.degree_halves
+        if d == 0:
+            raise ValueError("factor argument must have positive degree")
+        key = u.packed()
+        c = e * d
+        for k in range(1, cap // d + 1):
+            log_terms[k * key] = log_terms.get(k * key, 0) + (-c if u.sign < 0 and k % 2 else c)
+    log_parts = {}
+    for key, c in log_terms.items():
+        if c:
+            log_parts.setdefault(key >> shift, []).append((key, c))
+    parts = [{0: 1}]  # parts[D] is a_D
+    for D in range(1, cap + 1):
+        acc = {}
+        for j, terms in log_parts.items():
+            if j <= D and parts[D - j]:
+                for key, c in terms:
+                    _kernels.scale_accumulate(acc, parts[D - j], key, c, cap, shift)
+        part = {}
+        for key, c in acc.items():
+            a, r = divmod(c, D)
+            if r:
+                raise ArithmeticError(f"Euler transform: {c} is not divisible by degree {D}")
+            part[key] = a
+        parts.append(part)
+    out = {}
+    for part in parts:
+        out.update(part)
+    return Series(vars, trunc, out, _trusted=True)
+
+
+def macmahon_factors(x, q, trunc, two_sided=False):
+    """The (u, e) pairs of macmahon(x, q), or of macmahon_tilde(x, q) if
+    `two_sided`, up to the last factor of degree at most `trunc`."""
+    if x.vars != q.vars:
+        raise ValueError("variable sets differ")
+    if q.degree_halves == 0:
+        raise ValueError("q must have positive degree")
+    cap = 2 * trunc
+    factors = []
+    m = 1
+    while x.degree_halves + m * q.degree_halves <= cap:
+        factors.append((x * q**m, m))
+        m += 1
+    m = 1
+    while two_sided:
+        # the mirror factors (1 - x**(-1) * q**m)**(-m)
+        u = q**m / x  # raises if x does not divide q**m
+        if u.degree_halves > cap:
+            break
+        if u.degree_halves == 0:
+            raise ValueError("mirror factor has degree 0; truncation is not well defined")
+        factors.append((u, m))
+        m += 1
+    return factors
 
 
 def geometric_inverse(u, n, trunc):
     """The series (1 - u)**(-n) for a monomial u of positive degree."""
-    shift = 8 * len(u.vars)
-    return Series(
-        u.vars, trunc, _inv_one_minus_terms(u, n, 2 * trunc, shift), _trusted=True
-    )
+    return euler_product(u.vars, trunc, [(u, n)])
 
 
 def macmahon(x, q, trunc):
@@ -554,19 +623,7 @@ def macmahon(x, q, trunc):
     degree.  A negative sign on either is folded into the coefficients, so
     passing -q evaluates the function at a sign-flipped argument.
     """
-    if x.vars != q.vars:
-        raise ValueError("variable sets differ")
-    if q.degree_halves == 0:
-        raise ValueError("q must have positive degree")
-    cap = 2 * trunc
-    shift = 8 * len(q.vars)
-    result = {0: 1}
-    m = 1
-    while x.degree_halves + m * q.degree_halves <= cap:
-        u = x * q**m
-        result = _kernels.mul_terms(result, _inv_one_minus_terms(u, m, cap, shift), cap, shift)
-        m += 1
-    return Series(q.vars, trunc, result, _trusted=True)
+    return euler_product(q.vars, trunc, macmahon_factors(x, q, trunc))
 
 
 def macmahon_tilde(x, q, trunc):
@@ -576,20 +633,4 @@ def macmahon_tilde(x, q, trunc):
     The unsigned part of `x` must divide that of `q`, so all stored exponents
     stay non-negative; the sign of x**(-1) equals the sign of x.
     """
-    if x.vars != q.vars:
-        raise ValueError("variable sets differ")
-    if q.degree_halves == 0:
-        raise ValueError("q must have positive degree")
-    cap = 2 * trunc
-    shift = 8 * len(q.vars)
-    result = macmahon(x, q, trunc)._terms
-    m = 1
-    while True:
-        u = q**m / x  # raises if x does not divide q**m
-        if u.degree_halves > cap:
-            break
-        if u.degree_halves == 0:
-            raise ValueError("mirror factor has degree 0; truncation is not well defined")
-        result = _kernels.mul_terms(result, _inv_one_minus_terms(u, m, cap, shift), cap, shift)
-        m += 1
-    return Series(q.vars, trunc, result, _trusted=True)
+    return euler_product(q.vars, trunc, macmahon_factors(x, q, trunc, two_sided=True))

@@ -65,7 +65,7 @@ def test_verify_ops(capsys):
     assert out.count("ok:") == 6
 
 
-def test_usage_errors_exit_2(capsys):
+def test_usage_errors_exit_2(capsys, monkeypatch):
     for argv in (["formula", "nope", "-N", "3"],
                  ["transfer", "nope", "-N", "3"],
                  ["enum", "so3", "-N", "3"],
@@ -87,11 +87,44 @@ def test_usage_errors_exit_2(capsys):
                  ["verify", "transfer:zn:abc", "-N", "3"],
                  ["formula", "zn:abc", "-N", "3"],
                  ["formula", "zn:8", "-N", "3"],
-                 ["enum", "zn:8", "-N", "3"]):
+                 ["enum", "zn:8", "-N", "3"],
+                 # groups without a closed form, rejected before any work
+                 ["dt", "z3diag", "-N", "3"],
+                 ["dt", "z3diag", "-N", "3", "--side", "resolution"],
+                 ["dt", "z3diag", "-N", "3", "--side", "paired"],
+                 ["verify", "pairing:z3diag", "-N", "3"],
+                 ["verify", "sign:z3diag", "-N", "3"],
+                 # worker counts outside [1, 64]
+                 ["enum", "klein", "-N", "3", "--threads", "0"],
+                 ["enum", "klein", "-N", "3", "--threads", "-1"],
+                 ["enum", "klein", "-N", "3", "--threads", "65"],
+                 ["enum", "klein", "-N", "3", "--threads", "x"],
+                 ["sign", "zn:2", "-N", "3", "--threads", "0"],
+                 ["sign", "zn:2", "-N", "3", "--threads", "-2"],
+                 ["pyramid", "-N", "3", "--threads", "0"],
+                 ["pyramid", "-N", "3", "--threads", "-1"],
+                 ["verify", "zn:2", "-N", "3", "--threads", "0"],
+                 ["verify", "zn:2", "-N", "3", "--threads", "-1"]):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2
         capsys.readouterr()
+    # the BOXCOUNT_THREADS default goes through the same rule as --threads
+    for value in ("x", "0", "65"):
+        monkeypatch.setenv("BOXCOUNT_THREADS", value)
+        for argv in (["enum", "klein", "-N", "3"], ["sign", "zn:2", "-N", "3"],
+                     ["pyramid", "-N", "3"], ["verify", "zn:2", "-N", "3"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2
+            capsys.readouterr()
+
+
+def test_threads_default_from_environment(capsys, monkeypatch):
+    monkeypatch.setenv("BOXCOUNT_THREADS", "2")
+    code, out = run(capsys, "enum", "zn:2", "-N", "5", "--format", "json")
+    assert code == 0
+    assert coloured_series(zn_group(2), 5).to_json() == out.strip()
 
 
 def test_mismatch_reporting(capsys):

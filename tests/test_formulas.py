@@ -27,7 +27,7 @@ def test_closed_orbifold_dispatch():
 
 
 def test_pair_identity():
-    N = 10
+    N = 20
     V = ("q0", "qa", "qb", "qc")
     factor = macmahon_tilde(
         Monomial.from_exponents(V, {"qa": 1, "qb": 1}),
@@ -47,6 +47,9 @@ def test_curve_classes():
     assert len(zn) == 3 and set(zn.values()) == {1}
     klein = formulas._curve_classes(klein_group())
     assert sorted(c for _, c in klein) == [-1, -1, -1, -1, 1, 1, 1]
+    # the resolution side puts its box variable q in q0's place
+    for g in (zn_group(2), zn_group(5), klein_group()):
+        assert all(beta.halves[0] == 0 for beta, _ in formulas._curve_classes(g))
 
 
 def test_dt_orbifold_is_sign_substitution():
@@ -62,7 +65,7 @@ def test_dt_resolution_variables():
 
 def test_dt_pairing():
     for g in (zn_group(2), zn_group(3), klein_group()):
-        assert formulas.dt_pairing_holds(g, 8)
+        assert formulas.dt_pairing_holds(g, 16)
 
 
 def test_dt_resolution_leading_terms():
