@@ -9,14 +9,15 @@ on a mismatch.  Exit codes: 0 agreement, 1 mismatch, 2 usage.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from boxcount import colouring, relations
 from boxcount.series import MAX_TRUNC, Monomial, Series
 
-# upper bound of --threads: each worker is one OS thread
+# --threads is range-checked against this and otherwise ignored: enumeration is serial
 MAX_THREADS = 64
+# upper bound of verify-ops --basis: with the default -N 6 the catalogue takes ~4 s at 8 on a 2-core box
+MAX_BASIS = 8
 
 
 def _emit(series, fmt, max_terms):
@@ -61,44 +62,43 @@ def _transfer_machine(parser, which):
         parser.error(str(exc))
 
 
-def _trunc(text):
-    """argparse type of every -N: an integer in [0, MAX_TRUNC]."""
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"truncation must be an integer, got {text!r}") from None
-    if not 0 <= n <= MAX_TRUNC:
-        raise argparse.ArgumentTypeError(f"truncation must be in [0, {MAX_TRUNC}], got {n}")
-    return n
+def _int_in(what, lo, hi=None):
+    """argparse type for an integer `what` in [lo, hi] (unbounded above when hi is None)."""
+
+    def parse(text):
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{what} must be an integer, got {text!r}") from None
+        if n < lo or (hi is not None and n > hi):
+            bound = f"in [{lo}, {hi}]" if hi is not None else f">= {lo}"
+            raise argparse.ArgumentTypeError(f"{what} must be {bound}, got {n}")
+        return n
+
+    return parse
 
 
-def _threads(text):
-    """argparse type of every --threads and of BOXCOUNT_THREADS: an integer in [1, MAX_THREADS]."""
-    try:
-        k = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"thread count must be an integer, got {text!r}") from None
-    if not 1 <= k <= MAX_THREADS:
-        raise argparse.ArgumentTypeError(f"thread count must be in [1, {MAX_THREADS}], got {k}")
-    return k
+# every -N
+_trunc = _int_in("truncation", 0, MAX_TRUNC)
+# every --threads
+_threads = _int_in("thread count", 1, MAX_THREADS)
 
 
 def _add_threads(sub):
-    # a string default goes through _threads too, so a bad BOXCOUNT_THREADS is a usage error
     sub.add_argument(
         "--threads",
         type=_threads,
-        default=os.environ.get("BOXCOUNT_THREADS", "1"),
-        help=f"worker threads, 1..{MAX_THREADS} (default: BOXCOUNT_THREADS or 1)",
+        default=1,
+        help=f"accepted for compatibility, 1..{MAX_THREADS}; has no effect",
     )
 
 
-def _add_series_opts(sub, threads=False):
+def _add_series_opts(sub):
     sub.add_argument("-N", "--trunc", type=_trunc, required=True, help="truncation degree")
     sub.add_argument("--format", choices=("pretty", "json", "csv"), default="pretty")
-    sub.add_argument("--max-terms", type=int, default=20, help="term cap for pretty output")
-    if threads:
-        _add_threads(sub)
+    sub.add_argument(
+        "--max-terms", type=_int_in("term cap", 0), default=20, help="term cap for pretty output, >= 0"
+    )
 
 
 def main(argv=None):
@@ -107,10 +107,12 @@ def main(argv=None):
 
     p = sub.add_parser("enum", help="coloured box-pile series by direct enumeration")
     p.add_argument("group", help="zn:K, klein, or z3diag")
-    _add_series_opts(p, threads=True)
+    _add_series_opts(p)
+    _add_threads(p)
 
     p = sub.add_parser("pyramid", help="pyramid-partition series by direct enumeration")
-    _add_series_opts(p, threads=True)
+    _add_series_opts(p)
+    _add_threads(p)
 
     p = sub.add_parser("formula", help="closed product formula")
     p.add_argument("which", help="zn:K, klein, or pyramid")
@@ -122,7 +124,8 @@ def main(argv=None):
 
     p = sub.add_parser("sign", help="signed box counting via vertex-character parity")
     p.add_argument("group", help="zn:K, klein, or z3diag")
-    _add_series_opts(p, threads=True)
+    _add_series_opts(p)
+    _add_threads(p)
 
     p = sub.add_parser("dt", help="closed signed forms")
     p.add_argument("group", help="zn:K or klein")
@@ -139,7 +142,9 @@ def main(argv=None):
 
     p = sub.add_parser("verify-ops", help="check the operator-identity catalogue")
     p.add_argument("-N", "--trunc", type=_trunc, default=6)
-    p.add_argument("--basis", type=int, default=4, help="largest basis partition size")
+    p.add_argument(
+        "--basis", type=_int_in("basis size", 0, MAX_BASIS), default=4, help=f"largest basis partition size, 0..{MAX_BASIS}"
+    )
 
     args = parser.parse_args(argv)
     return COMMANDS[args.command](parser, args)
@@ -149,14 +154,14 @@ def _cmd_enum(parser, args):
     from boxcount.enum3d import coloured_series
 
     group = _group(parser, args.group)
-    _emit(coloured_series(group, args.trunc, threads=args.threads), args.format, args.max_terms)
+    _emit(coloured_series(group, args.trunc), args.format, args.max_terms)
     return 0
 
 
 def _cmd_pyramid(parser, args):
     from boxcount.pyramid import pyramid_series
 
-    _emit(pyramid_series(args.trunc, threads=args.threads), args.format, args.max_terms)
+    _emit(pyramid_series(args.trunc), args.format, args.max_terms)
     return 0
 
 
@@ -187,7 +192,7 @@ def _cmd_sign(parser, args):
     from boxcount.dtsign import signed_series
 
     group = _group(parser, args.group)
-    _emit(signed_series(group, args.trunc, threads=args.threads), args.format, args.max_terms)
+    _emit(signed_series(group, args.trunc), args.format, args.max_terms)
     return 0
 
 
@@ -214,7 +219,7 @@ def _cmd_verify(parser, args):
     target = args.target
     N = args.trunc
     if target == "pyramid":
-        return _report("enumeration", pyramid_series(N, threads=args.threads), "closed formula", formulas.closed_pyramid(N))
+        return _report("enumeration", pyramid_series(N), "closed formula", formulas.closed_pyramid(N))
     if target == "pair":
         from boxcount.series import macmahon_tilde
 
@@ -229,21 +234,21 @@ def _cmd_verify(parser, args):
         group = _group(parser, target)
         return _report(
             "enumeration",
-            coloured_series(group, N, threads=args.threads),
+            coloured_series(group, N),
             "closed formula",
             formulas.closed_orbifold(group, N),
         )
     if target.startswith("transfer:"):
         machine = _transfer_machine(parser, target[len("transfer:") :])
         if machine.group is None:
-            enumerated = pyramid_series(N, threads=args.threads)
+            enumerated = pyramid_series(N)
         else:
-            enumerated = coloured_series(machine.group, N, threads=args.threads)
+            enumerated = coloured_series(machine.group, N)
         return _report("transfer machine", fock.evaluate(machine, N), "enumeration", enumerated)
     if target.startswith("sign:"):
         group = _group(parser, target[len("sign:") :], formulas.orbifold_rows, formulas.dt_sign_variables)
-        signed = signed_series(group, N, threads=args.threads)
-        subst = coloured_series(group, N, threads=args.threads).substitute_signs(formulas.dt_sign_variables(group))
+        signed = signed_series(group, N)
+        subst = coloured_series(group, N).substitute_signs(formulas.dt_sign_variables(group))
         rc = _report("signed enumeration", signed, "sign substitution", subst)
         return rc or _report("signed enumeration", signed, "signed closed formula", formulas.dt_orbifold(group, N))
     if target.startswith("pairing:"):

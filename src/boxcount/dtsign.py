@@ -18,7 +18,7 @@ tests check the two routes agree on every pile.
 from __future__ import annotations
 
 from boxcount import colouring
-from boxcount.series import Series, _pack
+from boxcount.series import Series
 
 # (1 - t1^-1)(1 - t2^-1) with the third weight eliminated: exponent -> coeff
 F_LAURENT = {(0, 0): 1, (-1, 0): -1, (0, -1): -1, (-1, -1): 1}
@@ -160,43 +160,17 @@ def closed_sign(group, boxes):
     raise ValueError(f"no closed sign rule for group {group}")
 
 
-def signed_series(group, trunc, threads=None):
+def signed_series(group, trunc):
     """Coloured box counting with each pile weighted by its vertex sign."""
-    from boxcount.enum3d import _resolve_threads, enumerate_diagrams
+    from boxcount.enum3d import _colour_key, enumerate_diagrams
 
-    shards = _resolve_threads(threads)
-    if shards <= 1:
-        return Series(group.variables, trunc, _signed_shard(group, trunc, 0, 1), _trusted=True)
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=shards) as pool:
-        futures = [pool.submit(_signed_shard, group, trunc, s, shards) for s in range(shards)]
-        terms = {}
-        for fut in futures:
-            for k, c in fut.result().items():
-                nc = terms.get(k, 0) + c
-                if nc:
-                    terms[k] = nc
-                elif k in terms:
-                    del terms[k]
-    return Series(group.variables, trunc, terms, _trusted=True)
-
-
-def _signed_shard(group, trunc, shard, shards):
-    from boxcount.enum3d import enumerate_diagrams
-
-    m = len(group.variables)
     terms = {}
-    for d in enumerate_diagrams(trunc, shard, shards):
+    for d in enumerate_diagrams(trunc):
         boxes = list(d.boxes())
-        sign = sign_of(group, boxes)
-        halves = [0] * m
-        for b in boxes:
-            halves[colouring.colour_index(group, *b)] += 2
-        key = _pack(halves)
-        nc = terms.get(key, 0) + sign
+        key = _colour_key(group, boxes)
+        nc = terms.get(key, 0) + sign_of(group, boxes)
         if nc:
             terms[key] = nc
         elif key in terms:
             del terms[key]
-    return terms
+    return Series(group.variables, trunc, terms, _trusted=True)

@@ -132,20 +132,9 @@ def _descending_chains(top, budget):
     return tuple(out)
 
 
-def enumerate_diagrams(max_boxes, shard=0, shards=1):
-    """Yield every pile with at most max_boxes boxes, each exactly once.
-
-    With shards > 1 only every shards-th central partition (offset `shard`)
-    is expanded, so disjoint shards partition the full stream.
-    """
-    if shards < 1 or not 0 <= shard < shards:
-        raise ValueError("need 0 <= shard < shards")
-    index = 0
+def enumerate_diagrams(max_boxes):
+    """Yield every pile with at most max_boxes boxes, each exactly once."""
     for center in young.partitions_up_to(max_boxes):
-        if index % shards != shard:
-            index += 1
-            continue
-        index += 1
         if not center:
             yield Diagram3D(())
             continue
@@ -164,53 +153,24 @@ def volume_counts(max_boxes):
     return counts
 
 
-def _colour_key(group, diagram):
+def _colour_key(group, boxes):
+    """Packed colour-count key of some boxes: each box adds one to its colour."""
     from boxcount import colouring
 
-    m = len(group.variables)
-    halves = [0] * m
-    for x, y, z in diagram.boxes():
+    halves = [0] * len(group.variables)
+    for x, y, z in boxes:
         halves[colouring.colour_index(group, x, y, z)] += 2
     return _pack(halves)
 
 
-def coloured_series(group, trunc, threads=None):
+def coloured_series(group, trunc):
     """Generating series of piles weighted by their colour counts.
 
     The coefficient of a monomial is the number of piles whose boxes have
     exactly those colour multiplicities; total degree is the box count.
-    Shard results are merged in shard order, so the outcome does not depend
-    on thread scheduling.
     """
-    shards = _resolve_threads(threads)
-    if shards <= 1:
-        return Series(group.variables, trunc, _colour_shard(group, trunc, 0, 1), _trusted=True)
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=shards) as pool:
-        futures = [
-            pool.submit(_colour_shard, group, trunc, shard, shards) for shard in range(shards)
-        ]
-        terms = {}
-        for fut in futures:
-            for k, c in fut.result().items():
-                terms[k] = terms.get(k, 0) + c
-    return Series(group.variables, trunc, terms, _trusted=True)
-
-
-def _colour_shard(group, trunc, shard, shards):
     terms = {}
-    for d in enumerate_diagrams(trunc, shard, shards):
-        key = _colour_key(group, d)
+    for d in enumerate_diagrams(trunc):
+        key = _colour_key(group, d.boxes())
         terms[key] = terms.get(key, 0) + 1
-    return terms
-
-
-def _resolve_threads(threads):
-    if threads is None:
-        import os
-
-        threads = int(os.environ.get("BOXCOUNT_THREADS", "1"))
-    if threads < 1:
-        raise ValueError("thread count must be positive")
-    return threads
+    return Series(group.variables, trunc, terms, _trusted=True)

@@ -17,8 +17,6 @@ slice index mod 4.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from boxcount import young
 from boxcount.series import Series, _pack
 
@@ -137,19 +135,15 @@ class PyramidPartition:
         return f"PyramidPartition({list(self.bricks)!r})"
 
 
-def enumerate_pyramids(max_bricks, shard=0, shards=1):
+def enumerate_pyramids(max_bricks):
     """Yield every pile with at most max_bricks bricks, each exactly once.
 
     Bricks are totally ordered by (layer, x, z); a pile is built by adding
     bricks in increasing order, which realizes each parent-closed set once.
-    Sharding splits on the index of the first brick added after the apex.
     """
-    if shards < 1 or not 0 <= shard < shards:
-        raise ValueError("need 0 <= shard < shards")
     if max_bricks < 0:
         raise ValueError("max_bricks must be non-negative")
-    if shard == 0:
-        yield PyramidPartition((), _trusted=True)
+    yield PyramidPartition((), _trusted=True)
     if max_bricks == 0:
         return
     bricks = [b for y in range(max_bricks) for b in layer_bricks(y)]
@@ -168,49 +162,16 @@ def enumerate_pyramids(max_bricks, shard=0, shards=1):
                 chosen.discard(j)
 
     # the apex is brick 0; every non-empty pile contains it
-    chosen = {0}
-    if shards == 1:
-        yield from rec(chosen, 0)
-        return
-    # shard on the second brick (round-robin), keeping the apex-only pile in shard 0
-    if shard == 0:
-        yield PyramidPartition((bricks[0],), _trusted=True)
-    if max_bricks == 1:
-        return
-    pick = 0
-    for j in range(1, n):
-        if all(pi in chosen for pi in parent_idx[j]):
-            if pick % shards == shard:
-                chosen.add(j)
-                yield from rec(chosen, j)
-                chosen.discard(j)
-            pick += 1
+    yield from rec({0}, 0)
 
 
-def pyramid_series(trunc, threads=None):
+def pyramid_series(trunc):
     """Generating series over (q0, qa, qb, qc) of piles by colour counts."""
-    from boxcount.enum3d import _resolve_threads
-
-    shards = _resolve_threads(threads)
-    if shards <= 1:
-        return Series(KLEIN_VARS, trunc, _pyramid_shard(trunc, 0, 1), _trusted=True)
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=shards) as pool:
-        futures = [pool.submit(_pyramid_shard, trunc, s, shards) for s in range(shards)]
-        terms = {}
-        for fut in futures:
-            for k, c in fut.result().items():
-                terms[k] = terms.get(k, 0) + c
-    return Series(KLEIN_VARS, trunc, terms, _trusted=True)
-
-
-def _pyramid_shard(trunc, shard, shards):
     terms = {}
-    for pp in enumerate_pyramids(trunc, shard, shards):
+    for pp in enumerate_pyramids(trunc):
         halves = [0, 0, 0, 0]
         for b in pp.bricks:
             halves[colour_index(b)] += 2
         key = _pack(halves)
         terms[key] = terms.get(key, 0) + 1
-    return terms
+    return Series(KLEIN_VARS, trunc, terms, _trusted=True)

@@ -79,8 +79,3 @@ def test_signed_series_equals_sign_substitution():
         signed = dtsign.signed_series(g, 6)
         assert signed == coloured_series(g, 6).substitute_signs(dt_sign_variables(g))
         assert signed == dt_orbifold(g, 6)
-
-
-def test_signed_series_threads_match():
-    g = zn_group(2)
-    assert dtsign.signed_series(g, 6, threads=3) == dtsign.signed_series(g, 6)

@@ -89,18 +89,6 @@ def test_slices_round_trip():
         assert Diagram3D.from_slices(dict(d.slices())) == d
 
 
-def test_sharding_partitions_the_set():
-    whole = {d for d in enumerate_diagrams(6)}
-    shards = [set(enumerate_diagrams(6, shard=s, shards=3)) for s in range(3)]
-    assert set.union(*shards) == whole
-    assert sum(len(s) for s in shards) == len(whole)
-
-
-def test_threaded_series_matches_serial():
-    g = colouring.zn_group(3)
-    assert coloured_series(g, 6, threads=3) == coloured_series(g, 6, threads=1)
-
-
 @st.composite
 def closed_box_sets(draw):
     heights = draw(st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=3), min_size=1, max_size=3))

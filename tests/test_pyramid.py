@@ -110,13 +110,3 @@ def test_slices_determine_the_pile():
         key = tuple(sorted(p.slices().items()))
         assert key not in seen
         seen[key] = p
-
-
-def test_sharding_and_threads():
-    whole = {frozenset(p.bricks) for p in enumerate_pyramids(6)}
-    shards = [
-        {frozenset(p.bricks) for p in enumerate_pyramids(6, shard=s, shards=3)} for s in range(3)
-    ]
-    assert set.union(*shards) == whole
-    assert sum(len(s) for s in shards) == len(whole)
-    assert pyramid_series(6, threads=3) == pyramid_series(6, threads=1)
