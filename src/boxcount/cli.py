@@ -18,6 +18,8 @@ from boxcount.series import MAX_TRUNC, Monomial, Series
 MAX_THREADS = 64
 # upper bound of verify-ops --basis: with the default -N 6 the catalogue takes ~4 s at 8 on a 2-core box
 MAX_BASIS = 8
+# upper bound of verify-ops -N: --basis 8 -N 8 takes ~6 s on a 2-core box, -N 12 took 16 s
+MAX_OPS_TRUNC = 8
 
 
 def _emit(series, fmt, max_terms):
@@ -141,7 +143,9 @@ def main(argv=None):
     _add_threads(p)
 
     p = sub.add_parser("verify-ops", help="check the operator-identity catalogue")
-    p.add_argument("-N", "--trunc", type=_trunc, default=6)
+    p.add_argument(
+        "-N", "--trunc", type=_int_in("truncation", 0, MAX_OPS_TRUNC), default=6, help=f"truncation degree, 0..{MAX_OPS_TRUNC}"
+    )
     p.add_argument(
         "--basis", type=_int_in("basis size", 0, MAX_BASIS), default=4, help=f"largest basis partition size, 0..{MAX_BASIS}"
     )
@@ -189,10 +193,11 @@ def _cmd_transfer(parser, args):
 
 
 def _cmd_sign(parser, args):
-    from boxcount.dtsign import signed_series
+    from boxcount.dtsign import sign_map
+    from boxcount.enum3d import coloured_series
 
     group = _group(parser, args.group)
-    _emit(signed_series(group, args.trunc), args.format, args.max_terms)
+    _emit(sign_map(group, coloured_series(group, args.trunc)), args.format, args.max_terms)
     return 0
 
 
@@ -212,7 +217,7 @@ def _cmd_dt(parser, args):
 
 def _cmd_verify(parser, args):
     from boxcount import fock, formulas
-    from boxcount.dtsign import signed_series
+    from boxcount.dtsign import sign_map
     from boxcount.enum3d import coloured_series
     from boxcount.pyramid import pyramid_series
 
@@ -247,10 +252,11 @@ def _cmd_verify(parser, args):
         return _report("transfer machine", fock.evaluate(machine, N), "enumeration", enumerated)
     if target.startswith("sign:"):
         group = _group(parser, target[len("sign:") :], formulas.orbifold_rows, formulas.dt_sign_variables)
-        signed = signed_series(group, N)
-        subst = coloured_series(group, N).substitute_signs(formulas.dt_sign_variables(group))
-        rc = _report("signed enumeration", signed, "sign substitution", subst)
-        return rc or _report("signed enumeration", signed, "signed closed formula", formulas.dt_orbifold(group, N))
+        coloured = coloured_series(group, N)
+        signed = sign_map(group, coloured)
+        subst = coloured.substitute_signs(formulas.dt_sign_variables(group))
+        rc = _report("sign table", signed, "sign substitution", subst)
+        return rc or _report("sign table", signed, "signed closed formula", formulas.dt_orbifold(group, N))
     if target.startswith("pairing:"):
         group = _group(
             parser, target[len("pairing:") :], formulas.orbifold_rows, formulas.dt_sign_variables, formulas.resolution_rows

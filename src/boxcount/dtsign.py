@@ -11,8 +11,16 @@ after restricting the torus weights to the acting group.  Only that parity
 is needed, so the production route works in the group ring over GF(2),
 where an element is an integer bitmask over group-element indices.
 
+Restricted to the group, Q is the pile's colour counts, and mod 2 it is the
+bitmask of colours that occur an odd number of times.  The sign is therefore
+a function of a monomial's exponents: `sign_map` reads it from one table of
+2^|G| parities and multiplies each coefficient of a coloured series by it,
+whichever route computed that series.  `sign_of` is the same parity taken
+per pile; it and the exact Laurent route are the references the tests hold
+the table to.
+
 Each action also admits a closed sign rule in the colour counts alone; the
-tests check the two routes agree on every pile.
+tests check the routes agree on every pile.
 """
 
 from __future__ import annotations
@@ -126,11 +134,15 @@ def _f_mod2(group):
     return out
 
 
-def invariant_parity(group, boxes):
-    """Parity of the trivial-weight multiplicity of V restricted to the group."""
-    q = restrict_boxes_mod2(group, boxes)
+def mask_parity(group, q):
+    """Parity of the trivial weight of V for colour counts whose mod-2 bitmask is q."""
     v = q ^ ring_mul(group, ring_mul(group, q, ring_conj(group, q)), _f_mod2(group))
     return v & 1
+
+
+def invariant_parity(group, boxes):
+    """Parity of the trivial-weight multiplicity of V restricted to the group."""
+    return mask_parity(group, restrict_boxes_mod2(group, boxes))
 
 
 def sign_of(group, boxes):
@@ -160,17 +172,14 @@ def closed_sign(group, boxes):
     raise ValueError(f"no closed sign rule for group {group}")
 
 
-def signed_series(group, trunc):
-    """Coloured box counting with each pile weighted by its vertex sign."""
-    from boxcount.enum3d import _colour_key, enumerate_diagrams
-
-    terms = {}
-    for d in enumerate_diagrams(trunc):
-        boxes = list(d.boxes())
-        key = _colour_key(group, boxes)
-        nc = terms.get(key, 0) + sign_of(group, boxes)
-        if nc:
-            terms[key] = nc
-        elif key in terms:
-            del terms[key]
-    return Series(group.variables, trunc, terms, _trusted=True)
+def sign_map(group, series):
+    """A coloured series with each coefficient times the vertex sign of its monomial."""
+    if series.vars != group.variables:
+        raise ValueError(f"series variables {series.vars} are not those of {group}")
+    odd = [mask_parity(group, q) for q in range(1 << group.order)]
+    out = {}
+    for key, c in series._terms.items():
+        # bit 1 of each variable's half-exponent byte is its whole exponent mod 2
+        q = sum(((key >> (8 * i + 1)) & 1) << i for i in range(group.order))
+        out[key] = -c if odd[q] else c
+    return Series(series.vars, series.trunc, out, _trusted=True)

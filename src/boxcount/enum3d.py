@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from boxcount import young
+from boxcount import colouring, young
 from boxcount.series import Series, _pack
 
 
@@ -153,16 +153,6 @@ def volume_counts(max_boxes):
     return counts
 
 
-def _colour_key(group, boxes):
-    """Packed colour-count key of some boxes: each box adds one to its colour."""
-    from boxcount import colouring
-
-    halves = [0] * len(group.variables)
-    for x, y, z in boxes:
-        halves[colouring.colour_index(group, x, y, z)] += 2
-    return _pack(halves)
-
-
 def coloured_series(group, trunc):
     """Generating series of piles weighted by their colour counts.
 
@@ -171,6 +161,9 @@ def coloured_series(group, trunc):
     """
     terms = {}
     for d in enumerate_diagrams(trunc):
-        key = _colour_key(group, d.boxes())
+        halves = [0] * group.order
+        for x, y, z in d.boxes():
+            halves[colouring.colour_index(group, x, y, z)] += 2
+        key = _pack(halves)
         terms[key] = terms.get(key, 0) + 1
     return Series(group.variables, trunc, terms, _trusted=True)

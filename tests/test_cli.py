@@ -111,6 +111,10 @@ def test_usage_errors_exit_2(capsys):
                  ["verify-ops", "--basis", "9"],
                  ["verify-ops", "--basis", "18"],
                  ["verify-ops", "--basis", "x"],
+                 # verify-ops truncation outside [0, 8]
+                 ["verify-ops", "-N", "9"],
+                 ["verify-ops", "-N", "12"],
+                 ["verify-ops", "-N", "63"],
                  # negative pretty-output term caps
                  ["formula", "klein", "-N", "3", "--max-terms", "-2"],
                  ["enum", "klein", "-N", "3", "--max-terms", "-1"],

@@ -1,10 +1,12 @@
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxcount import dtsign
+from boxcount import dtsign, fock
 from boxcount.colouring import klein_group, z3diag_group, zn_group
 from boxcount.enum3d import coloured_series, enumerate_diagrams
 from boxcount.formulas import dt_orbifold, dt_sign_variables
+from boxcount.series import Series
 
 GROUPS = [zn_group(2), zn_group(3), zn_group(4), zn_group(5), klein_group(), z3diag_group()]
 
@@ -76,6 +78,42 @@ def test_ring_associativity(u, v, w):
 
 def test_signed_series_equals_sign_substitution():
     for g in (zn_group(2), zn_group(3), klein_group()):
-        signed = dtsign.signed_series(g, 6)
-        assert signed == coloured_series(g, 6).substitute_signs(dt_sign_variables(g))
+        coloured = coloured_series(g, 6)
+        signed = dtsign.sign_map(g, coloured)
+        assert signed == coloured.substitute_signs(dt_sign_variables(g))
         assert signed == dt_orbifold(g, 6)
+
+
+SIGN_MAP_GROUPS = [zn_group(k) for k in range(1, 8)] + [klein_group(), z3diag_group()]
+
+
+def test_sign_map_equals_per_pile_signs():
+    # reference: every pile adds its own sign at its colour counts
+    for g in SIGN_MAP_GROUPS:
+        terms = {}
+        for d in enumerate_diagrams(7):
+            boxes = list(d.boxes())
+            counts = tuple(dtsign.colour_counts(g, boxes))
+            terms[counts] = terms.get(counts, 0) + dtsign.sign_of(g, boxes)
+        reference = Series.from_terms(g.variables, 7, terms)
+        assert dtsign.sign_map(g, coloured_series(g, 7)) == reference, g
+
+
+def test_sign_map_reads_any_route():
+    g = zn_group(3)
+    transfer = fock.evaluate(fock.machine("zn:3"), 20)
+    assert dtsign.sign_map(g, transfer) == dt_orbifold(g, 20)
+
+
+def test_sign_table_equals_substitution_on_every_mask():
+    # one monomial per parity mask: each colour to the power 0 or 1
+    for g in SIGN_MAP_GROUPS[:-1]:
+        masks = {tuple((q >> i) & 1 for i in range(g.order)): 1 for q in range(1 << g.order)}
+        series = Series.from_terms(g.variables, g.order, masks)
+        assert len(series) == 1 << g.order
+        assert dtsign.sign_map(g, series) == series.substitute_signs(dt_sign_variables(g)), g
+
+
+def test_sign_map_rejects_other_variables():
+    with pytest.raises(ValueError):
+        dtsign.sign_map(klein_group(), coloured_series(zn_group(4), 3))
