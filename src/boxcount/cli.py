@@ -20,6 +20,9 @@ MAX_THREADS = 64
 MAX_BASIS = 8
 # upper bound of verify-ops -N: --basis 8 -N 8 takes ~6 s on a 2-core box, -N 12 took 16 s
 MAX_OPS_TRUNC = 8
+# upper bound of -N on every route that enumerates piles (enum, pyramid, sign, and verify's
+# group, pyramid, transfer: and sign: targets); see README for the slowest accepted case
+MAX_ENUM_TRUNC = 17
 
 
 def _emit(series, fmt, max_terms):
@@ -55,6 +58,12 @@ def _group(parser, text, *needs):
     return group
 
 
+def _enumerable(parser, trunc):
+    """Reject a truncation too deep to enumerate, once the verify target has parsed."""
+    if trunc > MAX_ENUM_TRUNC:
+        parser.error(f"argument -N/--trunc: this verify target enumerates, so -N must be in [0, {MAX_ENUM_TRUNC}], got {trunc}")
+
+
 def _transfer_machine(parser, which):
     from boxcount import fock
 
@@ -82,6 +91,8 @@ def _int_in(what, lo, hi=None):
 
 # every -N
 _trunc = _int_in("truncation", 0, MAX_TRUNC)
+# -N of the commands that enumerate piles
+_enum_trunc = _int_in("enumeration truncation", 0, MAX_ENUM_TRUNC)
 # every --threads
 _threads = _int_in("thread count", 1, MAX_THREADS)
 
@@ -95,8 +106,8 @@ def _add_threads(sub):
     )
 
 
-def _add_series_opts(sub):
-    sub.add_argument("-N", "--trunc", type=_trunc, required=True, help="truncation degree")
+def _add_series_opts(sub, trunc=_trunc):
+    sub.add_argument("-N", "--trunc", type=trunc, required=True, help="truncation degree")
     sub.add_argument("--format", choices=("pretty", "json", "csv"), default="pretty")
     sub.add_argument(
         "--max-terms", type=_int_in("term cap", 0), default=20, help="term cap for pretty output, >= 0"
@@ -109,11 +120,11 @@ def main(argv=None):
 
     p = sub.add_parser("enum", help="coloured box-pile series by direct enumeration")
     p.add_argument("group", help="zn:K, klein, or z3diag")
-    _add_series_opts(p)
+    _add_series_opts(p, _enum_trunc)
     _add_threads(p)
 
     p = sub.add_parser("pyramid", help="pyramid-partition series by direct enumeration")
-    _add_series_opts(p)
+    _add_series_opts(p, _enum_trunc)
     _add_threads(p)
 
     p = sub.add_parser("formula", help="closed product formula")
@@ -121,12 +132,12 @@ def main(argv=None):
     _add_series_opts(p)
 
     p = sub.add_parser("transfer", help="transfer-operator evaluation")
-    p.add_argument("which", help="zn:K, pyramid, pyramid-checkerboard, or z2z2")
+    p.add_argument("which", help="a group (zn:K, klein, z3diag), pyramid, pyramid-checkerboard, or z2z2 (= klein)")
     _add_series_opts(p)
 
     p = sub.add_parser("sign", help="signed box counting via vertex-character parity")
     p.add_argument("group", help="zn:K, klein, or z3diag")
-    _add_series_opts(p)
+    _add_series_opts(p, _enum_trunc)
     _add_threads(p)
 
     p = sub.add_parser("dt", help="closed signed forms")
@@ -137,9 +148,13 @@ def main(argv=None):
     p = sub.add_parser("verify", help="cross-check two independent routes")
     p.add_argument(
         "target",
-        help="zn:K | klein | pyramid | pair | transfer:{zn:K,pyramid,pyramid-checkerboard,z2z2} | sign:{zn:K,klein} | pairing:{zn:K,klein}",
+        help="zn:K | klein | pyramid | pair | transfer:{zn:K,klein,z3diag,pyramid,pyramid-checkerboard,z2z2}"
+        " | sign:{zn:K,klein} | pairing:{zn:K,klein}",
     )
-    p.add_argument("-N", "--trunc", type=_trunc, required=True)
+    p.add_argument(
+        "-N", "--trunc", type=_trunc, required=True,
+        help=f"truncation degree, 0..{MAX_TRUNC}; 0..{MAX_ENUM_TRUNC} for targets that enumerate (all but pair and pairing:)",
+    )
     _add_threads(p)
 
     p = sub.add_parser("verify-ops", help="check the operator-identity catalogue")
@@ -174,12 +189,8 @@ def _cmd_formula(parser, args):
 
     if args.which == "pyramid":
         series = formulas.closed_pyramid(args.trunc)
-    elif args.which == "klein":
-        series = formulas.closed_klein(args.trunc)
-    elif args.which.startswith("zn:"):
-        series = formulas.closed_orbifold(_group(parser, args.which), args.trunc)
     else:
-        parser.error(f"unknown formula {args.which!r}")
+        series = formulas.closed_orbifold(_group(parser, args.which, formulas.orbifold_rows), args.trunc)
     _emit(series, args.format, args.max_terms)
     return 0
 
@@ -224,6 +235,7 @@ def _cmd_verify(parser, args):
     target = args.target
     N = args.trunc
     if target == "pyramid":
+        _enumerable(parser, N)
         return _report("enumeration", pyramid_series(N), "closed formula", formulas.closed_pyramid(N))
     if target == "pair":
         from boxcount.series import macmahon_tilde
@@ -237,6 +249,7 @@ def _cmd_verify(parser, args):
         return _report("klein formula", formulas.closed_klein(N), "paired pyramid formula", factor * formulas.closed_pyramid(N))
     if target == "klein" or target.startswith("zn:"):
         group = _group(parser, target)
+        _enumerable(parser, N)
         return _report(
             "enumeration",
             coloured_series(group, N),
@@ -245,6 +258,7 @@ def _cmd_verify(parser, args):
         )
     if target.startswith("transfer:"):
         machine = _transfer_machine(parser, target[len("transfer:") :])
+        _enumerable(parser, N)
         if machine.group is None:
             enumerated = pyramid_series(N)
         else:
@@ -252,6 +266,7 @@ def _cmd_verify(parser, args):
         return _report("transfer machine", fock.evaluate(machine, N), "enumeration", enumerated)
     if target.startswith("sign:"):
         group = _group(parser, target[len("sign:") :], formulas.orbifold_rows, formulas.dt_sign_variables)
+        _enumerable(parser, N)
         coloured = coloured_series(group, N)
         signed = sign_map(group, coloured)
         subst = coloured.substitute_signs(formulas.dt_sign_variables(group))

@@ -1,44 +1,67 @@
 """Finite abelian groups acting on box coordinates, and the induced colours.
 
-Three actions are supported:
+A group is its characters: a tuple of (n, (a, b, c)) with a + b + c = 0
+mod n, so that it acts inside SL(3).  Each character colours the box
+(x, y, z) by the digit (a*x + b*y + c*z) mod n, and a box's element index
+is the mixed-radix number of its digits, first character least
+significant.  Three actions are supported:
 
-* ``zn:<n>`` -- the cyclic group whose colour of a box is (x - y) mod n;
-* ``klein`` -- the four-group acting through coordinate parities, with
-  elements 1, a, b, c indexed 0..3 so composition is bitwise xor;
-* ``z3diag`` -- the cyclic group of order three colouring by (x+y+z) mod 3.
+* ``zn:<n>`` -- ((n, (1, -1, 0)),): the colour of a box is (x - y) mod n;
+* ``klein`` -- ((2, (1, 0, 1)), (2, (0, 1, 1))): elements 1, a, b, c are
+  indexed 0..3, so a box of coordinate parities (x, y, z) has index
+  x ^ 2y ^ 3z and composition is bitwise xor;
+* ``z3diag`` -- ((3, (1, 1, 1)),): colouring by (x + y + z) mod 3.
 
-Each group carries one series variable per element, identity first.
+`colour_index`, `compose` and `inverse` read the characters alone.  A
+group's `kind` (its name up to the first colon) keys the hand-written
+closed forms elsewhere, and nothing here.  Each group carries one series
+variable per element, identity first.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from boxcount.series import MAX_VARS
 
 
 @dataclass(frozen=True)
 class Group:
-    kind: str
-    order: int
+    name: str
     variables: tuple
+    characters: tuple
+    # (n, a, b, c, place value) per character, built once for colour_index
+    digits: tuple = field(init=False, repr=False, compare=False)
+    order: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        digits, place = [], 1
+        for n, (a, b, c) in self.characters:
+            digits.append((n, a, b, c, place))
+            place *= n
+        object.__setattr__(self, "digits", tuple(digits))
+        object.__setattr__(self, "order", len(self.variables))
+
+    @property
+    def kind(self):
+        return self.name.partition(":")[0]
 
     def __str__(self):
-        return f"zn:{self.order}" if self.kind == "zn" else self.kind
+        return self.name
 
 
 def zn_group(n):
     if not 1 <= n <= MAX_VARS:
         raise ValueError(f"cyclic order must be between 1 and {MAX_VARS} (one series variable per element)")
-    return Group("zn", n, tuple(f"q{i}" for i in range(n)))
+    return Group(f"zn:{n}", tuple(f"q{i}" for i in range(n)), ((n, (1, -1, 0)),))
 
 
 def klein_group():
-    return Group("klein", 4, ("q0", "qa", "qb", "qc"))
+    return Group("klein", ("q0", "qa", "qb", "qc"), ((2, (1, 0, 1)), (2, (0, 1, 1))))
 
 
 def z3diag_group():
-    return Group("z3diag", 3, ("q0", "q1", "q2"))
+    return Group("z3diag", ("q0", "q1", "q2"), ((3, (1, 1, 1)),))
 
 
 def parse_group(text):
@@ -59,25 +82,18 @@ def parse_group(text):
 
 def colour_index(group, x, y, z):
     """Element index of the weight of a box at (x, y, z)."""
-    if group.kind == "zn":
-        return (x - y) % group.order
-    if group.kind == "klein":
-        return (x % 2) * 1 ^ (y % 2) * 2 ^ (z % 2) * 3
-    if group.kind == "z3diag":
-        return (x + y + z) % 3
-    raise ValueError(f"unknown group kind {group.kind!r}")
+    index = 0
+    for n, a, b, c, place in group.digits:
+        index += (a * x + b * y + c * z) % n * place
+    return index
 
 
 def compose(group, i, j):
-    if group.kind == "klein":
-        return i ^ j
-    return (i + j) % group.order
+    return sum((i // place + j // place) % n * place for n, _, _, _, place in group.digits)
 
 
 def inverse(group, i):
-    if group.kind == "klein":
-        return i
-    return (-i) % group.order
+    return sum(-(i // place) % n * place for n, _, _, _, place in group.digits)
 
 
 def laurent_restriction(group, e1, e2):

@@ -3,21 +3,32 @@
 A state assigns each partition an amplitude in the truncated series ring.
 The operators here act slice-wise: the raising and lowering operators move
 between interlacing partitions (their primed variants conjugate first),
-weight operators read off a partition's size or its checkerboard split, and
-the mode operators add or remove border strips with alternating signs.
+weight operators read off a colour for each cell of a partition, and the
+mode operators add or remove border strips with alternating signs.
 
 Composing weight and raising/lowering operators across a window of slices
 evaluates the coloured generating series of box piles and pyramid piles;
 those transfer evaluations are independent of both the direct enumeration
 and the closed product formulas.
 
+There is one weight operator.  `weight_op(*colours)` gives the cell in row
+i, column j the colour colours[(j - i) mod len(colours)], and multiplies a
+partition by the product of its cells' colour variables.
+
 Transfer machines are data.  A `Machine` is a slice table: its series
 variables, the box-pile colouring it counts (None for pyramid piles), and a
 function taking a slice index s to (weight operator, primed).  `evaluate`
 is the one evaluator: it walks s from N down to -N-1, applying slice s's
 creator (raising for s >= 0, lowering below, conjugating first when primed,
-argument 1) and then slice s's weight.  `MACHINES` holds the fixed tables
-and `machine("zn:K")` builds the cyclic ones.
+argument 1) and then slice s's weight.  `MACHINES` holds the pyramid
+tables, and `machine(name)` builds every box-pile table from its group.
+
+A box-pile machine reads its colours from the group's characters alone.
+Cell (row i, column j) of slice s is the box (i+s, i, j) for s >= 0 and
+(i, i-s, j) below.  A character (n, (a, b, c)) with a + b + c = 0 mod n
+gives it the digit (c*(j-i) + a*s) mod n for s >= 0 and
+(c*(j-i) + b*|s|) mod n below, so each slice's colour is a function of the
+cell content j - i modulo the lcm of the moduli with c != 0 mod n.
 
 The walk is pruned by a degree budget.  Right after slice s's creator, a
 partition lam still owes its own weight |lam|.  For s >= 0 the creators up
@@ -39,10 +50,11 @@ Only the containment bound holds for both kinds of step.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import lcm
 from typing import Callable, NamedTuple
 
 from boxcount import _kernels, young
-from boxcount.colouring import Group, klein_group, parse_group, zn_group
+from boxcount.colouring import Group, klein_group, parse_group
 from boxcount.pyramid import KLEIN_VARS, SLICE_COLOUR
 from boxcount.series import Monomial, Series, _pack
 
@@ -123,8 +135,7 @@ class FockState:
 #
 # An operator is a small tuple:
 #   ("gamma", grow, primed, arg)   raising (grow=True) / lowering, arg a Monomial
-#   ("weight", g)                  multiply by q_g ** |lam|
-#   ("weight2", g, h)              q_g ** (same-parity cells) * q_h ** (rest)
+#   ("weight", colours)            multiply by q_c for each cell, c its colour
 #   ("alpha", n)                   n < 0 adds |n|-strips, n > 0 removes, signed
 #   ("even", grow, arg)            the even part: gamma(arg) o gamma(-arg)
 
@@ -137,12 +148,9 @@ def gamma_plus(arg, primed=False):
     return ("gamma", False, primed, arg)
 
 
-def weight_op(g):
-    return ("weight", int(g))
-
-
-def weight2_op(g, h):
-    return ("weight2", int(g), int(h))
+def weight_op(*colours):
+    """Cell (i, j) gets the colour colours[(j - i) mod len(colours)]."""
+    return ("weight", tuple(int(c) for c in colours))
 
 
 def alpha_op(n):
@@ -271,24 +279,13 @@ def apply_op(state, op, size_cap=None, reserve=0):
         _, grow, primed, arg = op
         return _apply_gamma(state, grow, primed, arg, size_cap, reserve)
     if kind == "weight":
-        g = op[1]
+        colours = op[1]
         m = len(state.vars)
 
-        def key_of(lam, g=g, m=m):
+        def key_of(lam, colours=colours, m=m):
             halves = [0] * m
-            halves[g] = 2 * sum(lam)
-            return _pack(halves)
-
-        return _apply_weight_key(state, key_of)
-    if kind == "weight2":
-        _, g, h = op
-        m = len(state.vars)
-
-        def key_of(lam, g=g, h=h, m=m):
-            same, rest = young.checkerboard_counts(lam)
-            halves = [0] * m
-            halves[g] += 2 * same
-            halves[h] += 2 * rest
+            for colour, count in zip(colours, young.content_counts(lam, len(colours))):
+                halves[colour] += 2 * count
             return _pack(halves)
 
         return _apply_weight_key(state, key_of)
@@ -340,35 +337,37 @@ class Machine(NamedTuple):
     group: Group | None  # colouring of the box piles counted; None: pyramid
 
 
-def _checkerboard_weight(s):
-    if s % 2 == 0:
-        return weight2_op(0, 3)
-    return weight2_op(1, 2) if s > 0 else weight2_op(2, 1)
+def group_machine(group):
+    """The box-pile slice table of a group, coloured by its characters."""
+    period = lcm(*(n for n, _, _, c, _ in group.digits if c % n))
+
+    def slices(s):
+        colours = [
+            sum((c * t + (a * s if s >= 0 else -b * s)) % n * place for n, a, b, c, place in group.digits)
+            for t in range(period)
+        ]
+        return weight_op(*colours), False
+
+    return Machine(group.variables, slices, group)
 
 
-def _zn_machine(group):
-    n = group.order
-    return Machine(group.variables, lambda s: (weight_op(s % n), False), group)
-
+_KLEIN = group_machine(klein_group())
 
 MACHINES = {
     # pyramid piles on diagonal slices, 4-periodic colours
     "pyramid": Machine(KLEIN_VARS, lambda s: (weight_op(SLICE_COLOUR[s % 4]), s % 2 != 0), None),
-    # pyramid piles sliced by x + z: two colours per slice, split by the
-    # cell checkerboard
-    "pyramid-checkerboard": Machine(KLEIN_VARS, lambda s: (_checkerboard_weight(s), s % 2 != 0), None),
-    # parity-coloured box piles: plane-partition slices, checkerboard split
-    "z2z2": Machine(klein_group().variables, lambda s: (_checkerboard_weight(s), False), klein_group()),
+    # pyramid piles sliced by x + z: klein's slice colours, odd slices primed
+    "pyramid-checkerboard": Machine(KLEIN_VARS, lambda s: (_KLEIN.slices(s)[0], s % 2 != 0), None),
+    # parity-coloured box piles: klein's machine under its plane-partition name
+    "z2z2": _KLEIN,
 }
 
 
 def machine(name):
-    """The slice table called `name`: zn:<order> or a key of MACHINES."""
+    """The slice table called `name`: a key of MACHINES, or a group name."""
     if name in MACHINES:
         return MACHINES[name]
-    if name.startswith("zn:"):
-        return _zn_machine(parse_group(name))
-    raise ValueError(f"unknown transfer machine {name!r} (expected zn:<order>, {', '.join(MACHINES)})")
+    return group_machine(parse_group(name))
 
 
 def evaluate(machine, trunc):
@@ -396,18 +395,3 @@ def evaluate(machine, trunc):
         state = apply_op(state, weight)
     return state.amplitude(())
 
-
-def transfer_zn(n, trunc):
-    return evaluate(_zn_machine(zn_group(n)), trunc)
-
-
-def transfer_pyramid(trunc):
-    return evaluate(MACHINES["pyramid"], trunc)
-
-
-def transfer_pyramid_checkerboard(trunc):
-    return evaluate(MACHINES["pyramid-checkerboard"], trunc)
-
-
-def transfer_klein(trunc):
-    return evaluate(MACHINES["z2z2"], trunc)

@@ -20,7 +20,6 @@ from boxcount.fock import (
     even_plus,
     gamma_minus,
     gamma_plus,
-    weight2_op,
     weight_op,
 )
 from boxcount.series import Monomial, Series
@@ -116,7 +115,7 @@ def even_weight_displays(trunc=8, max_basis=6):
     V = ("x", "g", "h")
     x = Monomial.var(V, "x")
     xsqrt = Monomial.from_half_exponents(V, {"x": 2, "g": 1, "h": 1})
-    W = weight2_op(1, 2)
+    W = weight_op(1, 2)
     cases = [
         ("minus", [W, even_minus(x)], [even_minus(xsqrt), W]),
         ("plus", [even_plus(x), W], [W, even_plus(xsqrt)]),

@@ -44,13 +44,15 @@ def cells(p):
             yield i, j
 
 
-def checkerboard_counts(p):
-    """Cells split by the parity of row+column: (same parity, opposite)."""
-    even = 0
+def content_counts(p, L):
+    """Cells (i, j) of p tallied by content (j - i) mod L."""
+    counts = [0] * L
     for i, row in enumerate(p):
-        # cells (i, j), j < row, with j == i mod 2
-        even += (row + 1) // 2 if i % 2 == 0 else row // 2
-    return even, size(p) - even
+        full, extra = divmod(row, L)
+        # columns j = k mod L, j < row, have content k - i
+        for k in range(L):
+            counts[(k - i) % L] += full + (k < extra)
+    return counts
 
 
 def interlaces(lam, mu):

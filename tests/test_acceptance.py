@@ -72,9 +72,12 @@ def test_criterion_05_pair_identity():
 
 def test_criterion_06_transfer_consistency():
     t0 = time.time()
-    ok = all(fock.transfer_zn(n, 10) == coloured_series(zn_group(n), 10) for n in (1, 2, 3))
-    ok = ok and fock.transfer_pyramid(10) == pyramid_series(10)
-    ok = ok and fock.transfer_pyramid(8) == fock.transfer_pyramid_checkerboard(8)
+    def transfer(name, trunc):
+        return fock.evaluate(fock.machine(name), trunc)
+
+    ok = all(transfer(f"zn:{n}", 10) == coloured_series(zn_group(n), 10) for n in (1, 2, 3))
+    ok = ok and transfer("pyramid", 10) == pyramid_series(10)
+    ok = ok and transfer("pyramid", 8) == transfer("pyramid-checkerboard", 8)
     report(6, "transfer machines = enumeration at degree 10; slicings agree at 8", ok, t0)
 
 

@@ -8,6 +8,7 @@ rather than in a benchmark run.  Nothing under perfbench/ is modified.
 """
 
 import importlib
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -65,6 +66,23 @@ def test_every_reference_kind_computes():
 
 def test_backend_is_a_string():
     assert isinstance(_kernels.BACKEND, str)
+
+
+def test_traced_controls_yield_every_layer_metric(tmp_path):
+    # a probe or cache whose target no longer resolves drops its metrics from
+    # the per-layer report; zeros are fine, absence is not
+    raws = []
+    for i, op in enumerate(workloads.CONTROLS.values()):
+        trace_file = tmp_path / f"op{i}.json"
+        argv = run.traced_argv(op, trace_file)
+        proc = subprocess.run(argv, cwd=ROOT, env=run.CHILD_ENV, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, (op.label, proc.stderr)
+        raws.append(json.loads(trace_file.read_text())["raw"])
+    values = tracer.layer_values(tracer.merge(raws))
+    # measured by the runner, not inside the traced process
+    runner_side = {"cli.output_bytes", "trace.overhead"}
+    missing = [name for name, _ in tracer.LAYER_METRICS if name not in runner_side and name not in values]
+    assert not missing
 
 
 def test_setup_command_runs_in_the_child_environment():

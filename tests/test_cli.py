@@ -51,7 +51,8 @@ def test_pyramid_and_sign_and_dt(capsys):
 @pytest.mark.parametrize(
     "target",
     ["zn:2", "pyramid", "pair", "transfer:zn:2", "transfer:pyramid",
-     "transfer:pyramid-checkerboard", "transfer:z2z2", "sign:zn:2", "pairing:klein"],
+     "transfer:pyramid-checkerboard", "transfer:z2z2", "transfer:klein", "transfer:z3diag",
+     "sign:zn:2", "pairing:klein"],
 )
 def test_verify_targets_agree(capsys, target):
     code, out = run(capsys, "verify", target, "-N", "5")
@@ -88,7 +89,18 @@ def test_usage_errors_exit_2(capsys):
                  ["formula", "zn:abc", "-N", "3"],
                  ["formula", "zn:8", "-N", "3"],
                  ["enum", "zn:8", "-N", "3"],
+                 # enumeration deeper than MAX_ENUM_TRUNC, rejected before any work
+                 ["enum", "klein", "-N", "63"],
+                 ["enum", "z3diag", "-N", str(cli.MAX_ENUM_TRUNC + 1)],
+                 ["pyramid", "-N", "63"],
+                 ["sign", "zn:3", "-N", "63"],
+                 ["verify", "transfer:z2z2", "-N", "63"],
+                 ["verify", "transfer:pyramid", "-N", str(cli.MAX_ENUM_TRUNC + 1)],
+                 ["verify", "klein", "-N", "63"],
+                 ["verify", "pyramid", "-N", "63"],
+                 ["verify", "sign:zn:3", "-N", "63"],
                  # groups without a closed form, rejected before any work
+                 ["formula", "z3diag", "-N", "3"],
                  ["dt", "z3diag", "-N", "3"],
                  ["dt", "z3diag", "-N", "3", "--side", "resolution"],
                  ["dt", "z3diag", "-N", "3", "--side", "paired"],
@@ -123,6 +135,16 @@ def test_usage_errors_exit_2(capsys):
             cli.main(argv)
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["formula", "klein", "-N", "20"], ["transfer", "zn:2", "-N", "20"], ["dt", "zn:2", "-N", "20"],
+     ["verify", "pair", "-N", "20"], ["verify", "pairing:zn:2", "-N", "20"]],
+)
+def test_routes_that_do_not_enumerate_keep_the_full_range(capsys, argv):
+    assert int(argv[-1]) > cli.MAX_ENUM_TRUNC
+    assert run(capsys, *argv)[0] == 0
 
 
 @pytest.mark.parametrize("argv", [["enum", "klein", "-N", "6"], ["pyramid", "-N", "6"], ["sign", "zn:3", "-N", "6"]])

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +25,14 @@ def test_variable_counts():
     for g in GROUPS:
         assert len(g.variables) == g.order
         assert len(set(g.variables)) == g.order
+
+
+def test_characters_lie_in_sl3():
+    # each character (n, (a, b, c)) has a + b + c = 0 mod n, and the moduli
+    # multiply to the group order (one mixed-radix digit per character)
+    for g in GROUPS:
+        assert all((a + b + c) % n == 0 for n, (a, b, c) in g.characters)
+        assert math.prod(n for n, _ in g.characters) == g.order
 
 
 coords = st.integers(-6, 6)

@@ -3,7 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxcount import fock, relations, young
-from boxcount.colouring import klein_group, zn_group
+from boxcount.colouring import colour_index, klein_group, z3diag_group, zn_group
+from boxcount.dtsign import sign_map
 from boxcount.enum3d import coloured_series
 from boxcount.formulas import closed_klein, closed_pyramid, closed_zn
 from boxcount.fock import FockState, alpha_op, apply_op, apply_ops, bracket, even_minus, gamma_minus, gamma_plus
@@ -178,15 +179,19 @@ def test_relation_catalogue_smoke():
         assert ok, (name, witness)
 
 
+def transfer(name, trunc):
+    return fock.evaluate(fock.machine(name), trunc)
+
+
 def test_transfer_machines_match_enumeration():
-    assert fock.transfer_zn(2, 6) == coloured_series(zn_group(2), 6)
-    assert fock.transfer_klein(6) == coloured_series(klein_group(), 6)
-    assert fock.transfer_pyramid(6) == pyramid_series(6)
-    assert fock.transfer_pyramid_checkerboard(6) == pyramid_series(6)
+    assert transfer("zn:2", 6) == coloured_series(zn_group(2), 6)
+    assert transfer("z2z2", 6) == coloured_series(klein_group(), 6)
+    assert transfer("pyramid", 6) == pyramid_series(6)
+    assert transfer("pyramid-checkerboard", 6) == pyramid_series(6)
 
 
 # every slice table, plain and primed
-MACHINE_NAMES = ["zn:1", "zn:2", "zn:3", *fock.MACHINES]
+MACHINE_NAMES = ["zn:1", "zn:2", "zn:3", "z3diag", "klein", *fock.MACHINES]
 
 
 def unpruned_machine(machine, trunc):
@@ -211,10 +216,39 @@ def test_degree_budget_pruning_is_exact(name):
 
 def test_transfer_machines_match_closed_forms_at_depth():
     N = 24
-    assert fock.transfer_zn(2, N) == closed_zn(2, N)
-    assert fock.transfer_zn(3, N) == closed_zn(3, N)
-    assert fock.transfer_klein(N) == closed_klein(N)
+    assert transfer("zn:2", N) == closed_zn(2, N)
+    assert transfer("zn:3", N) == closed_zn(3, N)
+    assert transfer("z2z2", N) == closed_klein(N)
     pyramid = closed_pyramid(N)
-    assert fock.transfer_pyramid(N) == pyramid
-    assert fock.transfer_pyramid_checkerboard(N) == pyramid
+    assert transfer("pyramid", N) == pyramid
+    assert transfer("pyramid-checkerboard", N) == pyramid
+
+
+COLOURED_GROUPS = [zn_group(n) for n in range(1, 8)] + [klein_group(), z3diag_group()]
+
+
+@pytest.mark.parametrize("group", COLOURED_GROUPS, ids=str)
+def test_machine_cell_colours_equal_box_colours(group):
+    # the machine reads its colours from the characters; colour_index is the
+    # independent per-box reference.  Cell (i, j) of slice s is the box
+    # (i+s, i, j) for s >= 0 and (i, i-s, j) below.
+    machine = fock.machine(str(group))
+    assert machine.vars == group.variables and machine.group == group
+    for s in range(-8, 9):
+        (kind, colours), primed = machine.slices(s)
+        assert kind == "weight" and not primed
+        for i in range(8):
+            for j in range(8):
+                box = (i + s, i, j) if s >= 0 else (i, i - s, j)
+                assert colours[(j - i) % len(colours)] == colour_index(group, *box), (s, i, j)
+
+
+def test_z3diag_transfer_matches_enumeration():
+    # [C^3/Z3] with weights (1, 1, 1) has no closed form to check against
+    group = z3diag_group()
+    N = 12
+    via_transfer = transfer("z3diag", N)
+    enumerated = coloured_series(group, N)
+    assert via_transfer == enumerated
+    assert sign_map(group, via_transfer) == sign_map(group, enumerated)
 

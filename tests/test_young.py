@@ -36,15 +36,17 @@ def test_conjugate_involution(p):
     assert set(young.cells(q)) == {(j, i) for i, j in young.cells(p)}
 
 
-def test_checkerboard_counts():
-    # (i + j) even cells first
-    assert young.checkerboard_counts(()) == (0, 0)
-    assert young.checkerboard_counts((1,)) == (1, 0)
-    assert young.checkerboard_counts((2, 1)) == (1, 2)
-    for p in young.partitions_up_to(7):
-        a, b = young.checkerboard_counts(p)
-        assert a + b == young.size(p)
-        assert a == sum(1 for i, j in young.cells(p) if (i + j) % 2 == 0)
+def test_content_counts():
+    # cells (i, j) by content (j - i) mod L
+    assert young.content_counts((), 2) == [0, 0]
+    assert young.content_counts((2, 1), 2) == [1, 2]
+    assert young.content_counts((3, 1), 3) == [1, 1, 2]
+    for L in range(1, 5):
+        for p in young.partitions_up_to(10):
+            tally = [0] * L
+            for i, j in young.cells(p):
+                tally[(j - i) % L] += 1
+            assert young.content_counts(p, L) == tally, (p, L)
 
 
 def contains(lam, mu):
