@@ -22,7 +22,7 @@ MAX_BASIS = 8
 MAX_OPS_TRUNC = 8
 # upper bound of -N on every route that enumerates piles (enum, pyramid, sign, and verify's
 # group, pyramid, transfer: and sign: targets); see README for the slowest accepted case
-MAX_ENUM_TRUNC = 17
+MAX_ENUM_TRUNC = 24
 
 
 def _emit(series, fmt, max_terms):

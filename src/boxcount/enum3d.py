@@ -1,21 +1,29 @@
 """Finite 3D partitions (box piles) and their coloured generating series.
 
-A pile is stored by its diagonal slices: the partition pi_k collects the
-heights along the diagonal x - y = k, and a family of slices assembles to a
-pile exactly when it increases to the centre and decreases outward,
+A pile is a finite set of boxes closed under coordinate decrease, that is,
+an order ideal of the boxes of the octant.  `coloured_series` counts the
+piles as the order ideals of the cells with (x+1)(y+1)(z+1) <= N, by one
+reverse-search walk (`boxcount.ideals`), and never builds a pile object.
+
+`Diagram3D` stores a pile by its diagonal slices instead: the partition
+pi_k collects the heights along the diagonal x - y = k, and a family of
+slices assembles to a pile exactly when it increases to the centre and
+decreases outward,
 
     ... < pi_(-1) < pi_0 > pi_1 > ...
 
-in the interlacing order.  Enumeration walks central partitions and then
-descending interlacing chains on both sides, so each pile is produced once.
+in the interlacing order.  `enumerate_diagrams` walks central partitions
+and then descending interlacing chains on both sides, so each pile is
+produced once.  It shares no code with the walk, and the tests hold the
+two enumerations to the same series.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from boxcount import colouring, young
-from boxcount.series import Series, _pack
+from boxcount import colouring, ideals, young
+from boxcount.series import Series
 
 
 class Diagram3D:
@@ -158,12 +166,28 @@ def coloured_series(group, trunc):
 
     The coefficient of a monomial is the number of piles whose boxes have
     exactly those colour multiplicities; total degree is the box count.
+    A pile of at most `trunc` boxes lies in the cells with
+    (x+1)(y+1)(z+1) <= trunc, so the piles are the order ideals of those
+    cells under coordinate decrease, and each cell adds its packed colour
+    and degree to the key of every pile that holds it.
     """
+    cells = sorted(
+        ((x, y, z) for x in range(trunc) for y in range(trunc // (x + 1)) for z in range(trunc // ((x + 1) * (y + 1)))),
+        key=lambda c: (sum(c), c),
+    )
+    index = {c: i for i, c in enumerate(cells)}
+    parents = [
+        [index[p] for p in ((x - 1, y, z), (x, y - 1, z), (x, y, z - 1)) if p in index] for x, y, z in cells
+    ]
+    degree = 2 << 8 * group.order
+    step = [(2 << 8 * colouring.colour_index(group, *c)) + degree for c in cells]
+    # keys[k] is the key of the first k cells of the current ideal; each
+    # ideal of k cells extends the last one yielded of k - 1
+    keys = [0] * (trunc + 1)
     terms = {}
-    for d in enumerate_diagrams(trunc):
-        halves = [0] * group.order
-        for x, y, z in d.boxes():
-            halves[colouring.colour_index(group, x, y, z)] += 2
-        key = _pack(halves)
-        terms[key] = terms.get(key, 0) + 1
+    for ideal in ideals.order_ideals(parents, trunc):
+        k = len(ideal)
+        if k:
+            keys[k] = keys[k - 1] + step[ideal[-1]]
+        terms[keys[k]] = terms.get(keys[k], 0) + 1
     return Series(group.variables, trunc, terms, _trusted=True)

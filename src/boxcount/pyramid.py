@@ -17,8 +17,8 @@ slice index mod 4.
 
 from __future__ import annotations
 
-from boxcount import young
-from boxcount.series import Series, _pack
+from boxcount import ideals, young
+from boxcount.series import Series
 
 V1 = (-1, 1, 0)
 V2 = (1, 1, 0)
@@ -78,9 +78,12 @@ class PyramidPartition:
     __slots__ = ("bricks",)
 
     def __init__(self, bricks, _trusted=False):
-        bricks = tuple(sorted(set(bricks)))
-        if not _trusted:
+        # a trusted caller passes distinct bricks that are already parent-closed
+        if _trusted:
+            bricks = tuple(sorted(bricks))
+        else:
             bset = set(bricks)
+            bricks = tuple(sorted(bset))
             for b in bricks:
                 if not is_brick(b):
                     raise ValueError(f"not a brick position: {b!r}")
@@ -138,40 +141,25 @@ class PyramidPartition:
 def enumerate_pyramids(max_bricks):
     """Yield every pile with at most max_bricks bricks, each exactly once.
 
-    Bricks are totally ordered by (layer, x, z); a pile is built by adding
-    bricks in increasing order, which realizes each parent-closed set once.
+    Bricks are ordered by (layer, x, z), so every brick comes after its
+    parents, and the piles are the order ideals of that poset: one
+    reverse-search walk over it yields each pile once, already closed.
     """
     if max_bricks < 0:
         raise ValueError("max_bricks must be non-negative")
-    yield PyramidPartition((), _trusted=True)
-    if max_bricks == 0:
-        return
     bricks = [b for y in range(max_bricks) for b in layer_bricks(y)]
     index = {b: i for i, b in enumerate(bricks)}
-    parent_idx = [tuple(index[p] for p in parents(b)) for b in bricks]
-    n = len(bricks)
-
-    def rec(chosen, last):
-        yield PyramidPartition(tuple(bricks[i] for i in chosen), _trusted=True)
-        if len(chosen) == max_bricks:
-            return
-        for j in range(last + 1, n):
-            if all(pi in chosen for pi in parent_idx[j]):
-                chosen.add(j)
-                yield from rec(chosen, j)
-                chosen.discard(j)
-
-    # the apex is brick 0; every non-empty pile contains it
-    yield from rec({0}, 0)
+    parent_idx = [[index[p] for p in parents(b)] for b in bricks]
+    for ideal in ideals.order_ideals(parent_idx, max_bricks):
+        yield PyramidPartition([bricks[i] for i in ideal], _trusted=True)
 
 
 def pyramid_series(trunc):
     """Generating series over (q0, qa, qb, qc) of piles by colour counts."""
+    # each brick a pile can hold adds its packed colour and degree to the pile's key
+    step = {b: (2 << 8 * colour_index(b)) + (2 << 8 * len(KLEIN_VARS)) for y in range(trunc) for b in layer_bricks(y)}
     terms = {}
     for pp in enumerate_pyramids(trunc):
-        halves = [0, 0, 0, 0]
-        for b in pp.bricks:
-            halves[colour_index(b)] += 2
-        key = _pack(halves)
+        key = sum(map(step.__getitem__, pp.bricks))
         terms[key] = terms.get(key, 0) + 1
     return Series(KLEIN_VARS, trunc, terms, _trusted=True)

@@ -139,8 +139,8 @@ def test_usage_errors_exit_2(capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["formula", "klein", "-N", "20"], ["transfer", "zn:2", "-N", "20"], ["dt", "zn:2", "-N", "20"],
-     ["verify", "pair", "-N", "20"], ["verify", "pairing:zn:2", "-N", "20"]],
+    [["formula", "klein", "-N", "30"], ["transfer", "zn:2", "-N", "30"], ["dt", "zn:2", "-N", "30"],
+     ["verify", "pair", "-N", "30"], ["verify", "pairing:zn:2", "-N", "30"]],
 )
 def test_routes_that_do_not_enumerate_keep_the_full_range(capsys, argv):
     assert int(argv[-1]) > cli.MAX_ENUM_TRUNC
@@ -166,12 +166,22 @@ def test_mismatch_reporting(capsys):
     assert out.startswith("MISMATCH at 1:") and "left has 1" in out and "right has 2" in out
 
 
-def test_out_of_range_truncation_is_rejected_before_any_work():
+# a lost range check would start the whole computation, so these run in a
+# fresh process with a time limit rather than in-process
+@pytest.mark.parametrize(
+    "argv",
+    [["transfer", "z2z2", "-N", "64"],
+     *([*target, "-N", str(cli.MAX_ENUM_TRUNC + 1)] for target in (
+         ["enum", "klein"], ["pyramid"], ["sign", "zn:3"], ["verify", "klein"], ["verify", "pyramid"],
+         ["verify", "transfer:pyramid"], ["verify", "sign:zn:3"]))],
+    ids=lambda argv: "-".join(argv[:-2]),
+)
+def test_out_of_range_truncation_is_rejected_before_any_work(argv):
     src = str(Path(boxcount.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     start = time.monotonic()
     proc = subprocess.run(
-        [sys.executable, "-m", "boxcount.cli", "transfer", "z2z2", "-N", "64"],
+        [sys.executable, "-m", "boxcount.cli", *argv],
         env=env, capture_output=True, text=True, timeout=20,
     )
     assert proc.returncode == 2, proc.stderr

@@ -252,3 +252,12 @@ def test_z3diag_transfer_matches_enumeration():
     assert via_transfer == enumerated
     assert sign_map(group, via_transfer) == sign_map(group, enumerated)
 
+
+def test_enumeration_meets_the_other_routes_at_depth():
+    # deeper than the N <= 12 enumeration checks; about 1 s on a 2-core box
+    N = 18
+    assert coloured_series(zn_group(2), N) == closed_zn(2, N)
+    assert coloured_series(zn_group(3), N) == closed_zn(3, N)
+    assert coloured_series(klein_group(), N) == closed_klein(N)
+    assert pyramid_series(N) == closed_pyramid(N)
+    assert coloured_series(z3diag_group(), N) == transfer("z3diag", N)
