@@ -1,10 +1,10 @@
 """Hot loops shared by the series ring and the Fock-space states.
 
 Terms live in plain dicts mapping a packed integer key to an arbitrary
-precision integer coefficient.  A key stores one exponent byte per variable
-(exponents are counted in half-units) plus the total half-degree in the top
-byte, so a degree test is a shift and a compare, and multiplying monomials
-is integer addition of keys.
+precision integer coefficient.  `boxcount.series` lays the keys out: the
+total half-degree sits above bit `shift`, which every kernel takes as an
+argument, so a degree test is a shift and a compare, and multiplying
+monomials is integer addition of keys.
 """
 
 # which implementation of the kernels is loaded; benchmark runs record it

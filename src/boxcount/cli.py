@@ -11,8 +11,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from boxcount import colouring, relations
-from boxcount.series import MAX_TRUNC, Monomial, Series
+from boxcount import colouring
+from boxcount.series import MAX_TRUNC, Monomial
 
 # --threads is range-checked against this and otherwise ignored: enumeration is serial
 MAX_THREADS = 64
@@ -238,15 +238,12 @@ def _cmd_verify(parser, args):
         _enumerable(parser, N)
         return _report("enumeration", pyramid_series(N), "closed formula", formulas.closed_pyramid(N))
     if target == "pair":
-        from boxcount.series import macmahon_tilde
-
-        V = ("q0", "qa", "qb", "qc")
-        factor = macmahon_tilde(
-            Monomial.from_exponents(V, {"qa": 1, "qb": 1}),
-            Monomial.from_exponents(V, {"q0": 1, "qa": 1, "qb": 1, "qc": 1}),
-            N,
-        )
-        return _report("klein formula", formulas.closed_klein(N), "paired pyramid formula", factor * formulas.closed_pyramid(N))
+        # the pyramid rows and the one two-sided row M~(qa qb, q), as one factor list
+        rows = formulas.pyramid_rows()
+        q = rows[0][1]
+        qa_qb = Monomial.from_exponents(q.vars, {"qa": 1, "qb": 1})
+        paired = formulas.evaluate(rows + [(qa_qb, q, 1, True)], N)
+        return _report("klein formula", formulas.closed_klein(N), "paired pyramid formula", paired)
     if target == "klein" or target.startswith("zn:"):
         group = _group(parser, target)
         _enumerable(parser, N)
@@ -286,6 +283,8 @@ def _cmd_verify(parser, args):
 
 
 def _cmd_verify_ops(parser, args):
+    from boxcount import relations
+
     failed = 0
     for name, ok, witness in relations.run_all(trunc=args.trunc, max_basis=args.basis):
         line = f"{'ok' if ok else 'FAIL'}: {name}"

@@ -26,7 +26,6 @@ tests check the routes agree on every pile.
 from __future__ import annotations
 
 from boxcount import colouring
-from boxcount.series import Series
 
 # (1 - t1^-1)(1 - t2^-1) with the third weight eliminated: exponent -> coeff
 F_LAURENT = {(0, 0): 1, (-1, 0): -1, (0, -1): -1, (-1, -1): 1}
@@ -176,10 +175,5 @@ def sign_map(group, series):
     """A coloured series with each coefficient times the vertex sign of its monomial."""
     if series.vars != group.variables:
         raise ValueError(f"series variables {series.vars} are not those of {group}")
-    odd = [mask_parity(group, q) for q in range(1 << group.order)]
-    out = {}
-    for key, c in series._terms.items():
-        # bit 1 of each variable's half-exponent byte is its whole exponent mod 2
-        q = sum(((key >> (8 * i + 1)) & 1) << i for i in range(group.order))
-        out[key] = -c if odd[q] else c
-    return Series(series.vars, series.trunc, out, _trusted=True)
+    # the bitmask of a monomial's odd colour counts is the q of mask_parity
+    return series.sign_by_parities([mask_parity(group, q) for q in range(1 << group.order)])

@@ -23,7 +23,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from boxcount import colouring, ideals, young
-from boxcount.series import Series
+from boxcount.series import Series, var_key
 
 
 class Diagram3D:
@@ -179,8 +179,7 @@ def coloured_series(group, trunc):
     parents = [
         [index[p] for p in ((x - 1, y, z), (x, y - 1, z), (x, y, z - 1)) if p in index] for x, y, z in cells
     ]
-    degree = 2 << 8 * group.order
-    step = [(2 << 8 * colouring.colour_index(group, *c)) + degree for c in cells]
+    step = [var_key(group.order, colouring.colour_index(group, *c)) for c in cells]
     # keys[k] is the key of the first k cells of the current ideal; each
     # ideal of k cells extends the last one yielded of k - 1
     keys = [0] * (trunc + 1)

@@ -51,12 +51,13 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import lcm
+from operator import mul
 from typing import Callable, NamedTuple
 
 from boxcount import _kernels, young
 from boxcount.colouring import Group, klein_group, parse_group
 from boxcount.pyramid import KLEIN_VARS, SLICE_COLOUR
-from boxcount.series import Monomial, Series, _pack
+from boxcount.series import Monomial, Series, degree_shift, var_key
 
 
 class FockState:
@@ -91,7 +92,7 @@ class FockState:
         if series.vars != self.vars:
             raise ValueError("variable sets differ")
         cap = 2 * self.trunc
-        shift = 8 * len(self.vars)
+        shift = degree_shift(len(self.vars))
         out = {}
         for lam, amp in self.amps.items():
             prod = _kernels.mul_terms(amp, series._terms, cap, shift)
@@ -137,7 +138,8 @@ class FockState:
 #   ("gamma", grow, primed, arg)   raising (grow=True) / lowering, arg a Monomial
 #   ("weight", colours)            multiply by q_c for each cell, c its colour
 #   ("alpha", n)                   n < 0 adds |n|-strips, n > 0 removes, signed
-#   ("even", grow, arg)            the even part: gamma(arg) o gamma(-arg)
+#
+# The even parts are words, not operators: gamma(arg) o gamma(-arg).
 
 
 def gamma_minus(arg, primed=False):
@@ -160,11 +162,11 @@ def alpha_op(n):
 
 
 def even_minus(arg):
-    return ("even", True, arg)
+    return [gamma_minus(arg), gamma_minus(-arg)]
 
 
 def even_plus(arg):
-    return ("even", False, arg)
+    return [gamma_plus(arg), gamma_plus(-arg)]
 
 
 @lru_cache(maxsize=None)
@@ -195,7 +197,7 @@ def _apply_gamma(state, grow, primed, arg, size_cap, reserve=0):
     if arg.vars != state.vars:
         raise ValueError("argument variables differ from the state's")
     cap = 2 * state.trunc
-    shift = 8 * len(state.vars)
+    shift = degree_shift(len(state.vars))
     key_arg = arg.packed()
     deg_arg = arg.degree_halves
     # half-degree an added box costs: its own argument power, plus one box
@@ -235,7 +237,7 @@ def _apply_gamma(state, grow, primed, arg, size_cap, reserve=0):
 
 def _apply_weight_key(state, key_of):
     cap = 2 * state.trunc
-    shift = 8 * len(state.vars)
+    shift = degree_shift(len(state.vars))
     out = {}
     for lam, amp in state.amps.items():
         dst = {}
@@ -280,21 +282,15 @@ def apply_op(state, op, size_cap=None, reserve=0):
         return _apply_gamma(state, grow, primed, arg, size_cap, reserve)
     if kind == "weight":
         colours = op[1]
-        m = len(state.vars)
+        # a cell of colour c multiplies by q_c: its key is added once per cell
+        units = [var_key(len(state.vars), c) for c in colours]
 
-        def key_of(lam, colours=colours, m=m):
-            halves = [0] * m
-            for colour, count in zip(colours, young.content_counts(lam, len(colours))):
-                halves[colour] += 2 * count
-            return _pack(halves)
+        def key_of(lam, units=units):
+            return sum(map(mul, young.content_counts(lam, len(units)), units))
 
         return _apply_weight_key(state, key_of)
     if kind == "alpha":
         return _apply_alpha(state, op[1])
-    if kind == "even":
-        _, grow, arg = op
-        state = _apply_gamma(state, grow, False, -arg, size_cap)
-        return _apply_gamma(state, grow, False, arg, size_cap)
     raise ValueError(f"unknown operator {op!r}")
 
 

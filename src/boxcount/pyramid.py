@@ -18,7 +18,7 @@ slice index mod 4.
 from __future__ import annotations
 
 from boxcount import ideals, young
-from boxcount.series import Series
+from boxcount.series import Series, var_key
 
 V1 = (-1, 1, 0)
 V2 = (1, 1, 0)
@@ -157,7 +157,7 @@ def enumerate_pyramids(max_bricks):
 def pyramid_series(trunc):
     """Generating series over (q0, qa, qb, qc) of piles by colour counts."""
     # each brick a pile can hold adds its packed colour and degree to the pile's key
-    step = {b: (2 << 8 * colour_index(b)) + (2 << 8 * len(KLEIN_VARS)) for y in range(trunc) for b in layer_bricks(y)}
+    step = {b: var_key(len(KLEIN_VARS), colour_index(b)) for y in range(trunc) for b in layer_bricks(y)}
     terms = {}
     for pp in enumerate_pyramids(trunc):
         key = sum(map(step.__getitem__, pp.bricks))

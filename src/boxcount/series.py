@@ -4,19 +4,23 @@ Exponents are tracked in half-units so that operator arguments like the
 square root of a product of two variables stay exact; a series itself only
 ever holds whole-unit (even half-count) exponents once it is serialized.
 
-Terms are stored sparsely in a dict keyed by a packed integer: one byte per
-variable holding the half-unit exponent, plus the total half-degree in the
-byte above them.  Adding keys multiplies monomials, and the truncation test
-is a shift.  The packing is why at most 7 variables and truncation order at
-most 63 are supported: every byte stays below 127 and the whole key fits a
-signed 64-bit int, so sums of two keys can never carry between lanes.
+Terms are stored sparsely in a dict keyed by a packed integer: one 8-bit
+lane per variable holding the half-unit exponent, plus the total
+half-degree in the lane above them.  Adding keys multiplies monomials, and
+the truncation test is a shift.  Only this module knows the layout; others
+use `degree_shift`, `var_key` and `Monomial.packed`.  No lane may carry
+into the next, which is why truncation order is at most 63: a kept term's
+half-exponents and half-degree are at most 126 < 256, and the kernels drop
+a product above the cap before adding its key.  MAX_VARS = 7 is not needed
+by the layout; it is the colour count of zn:7, the largest group built.
 
 Every infinite product in the package is evaluated by one function,
 `euler_product(vars, trunc, factors)`: the product of (1 - u)**(-e) over a
 list of (signed monomial u of positive degree, integer e) pairs, computed
 degree by degree from the logarithmic derivative (the Euler transform).
-The MacMahon products `macmahon` and `macmahon_tilde` and
-`geometric_inverse` only build their factor lists and call it.
+The MacMahon products `macmahon` and `macmahon_tilde` only build their
+factor lists and call it.  They, `Series.inverse` and `Series.__pow__`
+remain only for the tests and the perfbench harness's probes.
 """
 
 from __future__ import annotations
@@ -27,6 +31,9 @@ from boxcount import _kernels
 
 MAX_VARS = 7
 MAX_TRUNC = 63
+# bits per exponent lane of a packed key
+_LANE = 8
+_LANE_MASK = (1 << _LANE) - 1
 
 
 def _check_vars(vars):
@@ -41,21 +48,31 @@ def _check_vars(vars):
             raise ValueError(f"bad variable name {v!r}")
 
 
+def degree_shift(nvars):
+    """Bit offset of the half-degree lane in a key on `nvars` variables."""
+    return _LANE * nvars
+
+
 def _pack(halves):
     key = 0
     total = 0
     for i, h in enumerate(halves):
-        key |= h << (8 * i)
+        key |= h << (_LANE * i)
         total += h
-    return key | (total << (8 * len(halves)))
+    return key | (total << degree_shift(len(halves)))
+
+
+def var_key(nvars, i):
+    """The key of variable i to the power 1 on `nvars` variables."""
+    return _pack([2 if j == i else 0 for j in range(nvars)])
 
 
 def _unpack(key, nvars):
-    return tuple((key >> (8 * i)) & 0xFF for i in range(nvars))
+    return tuple((key >> (_LANE * i)) & _LANE_MASK for i in range(nvars))
 
 
 def _sort_key(key, nvars):
-    return (key >> (8 * nvars), _unpack(key, nvars))
+    return (key >> (_LANE * nvars), _unpack(key, nvars))
 
 
 class Monomial:
@@ -192,7 +209,7 @@ class Series:
             terms = {}
         elif not _trusted:
             cap = 2 * trunc
-            shift = 8 * len(vars)
+            shift = degree_shift(len(vars))
             clean = {}
             for k, c in terms.items():
                 if not isinstance(c, int):
@@ -240,7 +257,7 @@ class Series:
 
     @property
     def _shift(self):
-        return 8 * len(self.vars)
+        return degree_shift(len(self.vars))
 
     def is_zero(self):
         return not self._terms
@@ -483,11 +500,22 @@ class Series:
         for k, c in self._terms.items():
             parity = 0
             for i in idxs:
-                h = (k >> (8 * i)) & 0xFF
+                h = (k >> (_LANE * i)) & _LANE_MASK
                 if h % 2:
                     raise ValueError("sign substitution on a half-integer exponent")
                 parity += h // 2
             out[k] = -c if parity % 2 else c
+        return Series(self.vars, self.trunc, out, _trusted=True)
+
+    def sign_by_parities(self, odd):
+        """Negate each coefficient whose monomial's odd-exponent bitmask q
+        (bit i for variable i) has odd[q] true."""
+        m = len(self.vars)
+        out = {}
+        for key, c in self._terms.items():
+            # bit 1 of a lane is its whole exponent mod 2
+            q = sum(((key >> (_LANE * i + 1)) & 1) << i for i in range(m))
+            out[key] = -c if odd[q] else c
         return Series(self.vars, self.trunc, out, _trusted=True)
 
     # -- serialization ---------------------------------------------------
@@ -549,7 +577,7 @@ def euler_product(vars, trunc, factors):
     if not isinstance(trunc, int) or not 0 <= trunc <= MAX_TRUNC:
         raise ValueError(f"trunc must be an integer in [0, {MAX_TRUNC}]")
     cap = 2 * trunc
-    shift = 8 * len(vars)
+    shift = degree_shift(len(vars))
     log_terms = {}  # L, by packed monomial
     for u, e in factors:
         if u.vars != vars:
@@ -609,11 +637,6 @@ def macmahon_factors(x, q, trunc, two_sided=False):
         factors.append((u, m))
         m += 1
     return factors
-
-
-def geometric_inverse(u, n, trunc):
-    """The series (1 - u)**(-n) for a monomial u of positive degree."""
-    return euler_product(u.vars, trunc, [(u, n)])
 
 
 def macmahon(x, q, trunc):

@@ -89,16 +89,17 @@ def test_usage_errors_exit_2(capsys):
                  ["formula", "zn:abc", "-N", "3"],
                  ["formula", "zn:8", "-N", "3"],
                  ["enum", "zn:8", "-N", "3"],
-                 # enumeration deeper than MAX_ENUM_TRUNC, rejected before any work
-                 ["enum", "klein", "-N", "63"],
+                 # enumeration deeper than MAX_ENUM_TRUNC, rejected before any work; one
+                 # past the cap, so that a lost check fails in seconds rather than hangs
+                 ["enum", "klein", "-N", str(cli.MAX_ENUM_TRUNC + 1)],
                  ["enum", "z3diag", "-N", str(cli.MAX_ENUM_TRUNC + 1)],
-                 ["pyramid", "-N", "63"],
-                 ["sign", "zn:3", "-N", "63"],
-                 ["verify", "transfer:z2z2", "-N", "63"],
+                 ["pyramid", "-N", str(cli.MAX_ENUM_TRUNC + 1)],
+                 ["sign", "zn:3", "-N", str(cli.MAX_ENUM_TRUNC + 1)],
+                 ["verify", "transfer:z2z2", "-N", str(cli.MAX_ENUM_TRUNC + 1)],
                  ["verify", "transfer:pyramid", "-N", str(cli.MAX_ENUM_TRUNC + 1)],
-                 ["verify", "klein", "-N", "63"],
-                 ["verify", "pyramid", "-N", "63"],
-                 ["verify", "sign:zn:3", "-N", "63"],
+                 ["verify", "klein", "-N", str(cli.MAX_ENUM_TRUNC + 1)],
+                 ["verify", "pyramid", "-N", str(cli.MAX_ENUM_TRUNC + 1)],
+                 ["verify", "sign:zn:3", "-N", str(cli.MAX_ENUM_TRUNC + 1)],
                  # groups without a closed form, rejected before any work
                  ["formula", "z3diag", "-N", "3"],
                  ["dt", "z3diag", "-N", "3"],

@@ -113,7 +113,7 @@ def test_even_part_matrix_matches_exponential_oracle():
         for mu in PARTS:
             c = EVEN_MINUS_ENTRIES.get((lam, mu), 0)
             want = xpow(sum(lam) - sum(mu)) * c if c else Series.zero(V, N)
-            assert bracket(lam, [even_minus(X)], mu, V, N) == want
+            assert bracket(lam, even_minus(X), mu, V, N) == want
 
 
 def test_oracle_support_is_interlacing():
@@ -177,6 +177,16 @@ def test_gamma_degree_pruning_matches_plain_application():
 def test_relation_catalogue_smoke():
     for name, ok, witness in relations.run_all(trunc=5, max_basis=3):
         assert ok, (name, witness)
+
+
+def test_catalogue_scalars_follow_the_exchange_rule(monkeypatch):
+    # (u, e) -> (-u, -e) swaps the rule's two cases, (1 - xy)^-1 and (1 + xy).  The two
+    # agree to first order and every block factor has degree >= 3, so the swap first
+    # shows in the block at degree 6
+    rule = relations.exchange_factors
+    monkeypatch.setattr(relations, "exchange_factors", lambda plus, minus: [(-u, -e) for u, e in rule(plus, minus)])
+    failed = {name for name, ok, _ in relations.run_all(trunc=6, max_basis=3) if not ok}
+    assert failed == {"gamma-commutators", "even-part", "block-commutator"}
 
 
 def transfer(name, trunc):
