@@ -1,15 +1,21 @@
 """Command line front end.
 
-Every series-producing route is exposed directly (enum, pyramid, formula,
-transfer, sign, dt), and `verify` cross-checks any two independent routes
-for the same counting problem, exiting 1 with the first differing monomial
-on a mismatch.  Exit codes: 0 agreement, 1 mismatch, 2 usage.
+One route table serves every command.  `route(command, which, side)`
+builds the route a series subcommand names (enum, pyramid, formula,
+transfer, sign, dt), and `verify_routes(target)` lists the routes a
+`verify` target compares: those same routes, plus `pair`.  `main` builds
+the routes before any work and checks the enumeration cap once on all of
+them.  Then it prints the route, or compares the first route with each of
+the others and exits 1 with the first differing monomial.  Exit codes: 0
+agreement, 1 mismatch, 2 usage.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from functools import lru_cache
+from typing import Callable, NamedTuple
 
 from boxcount import colouring
 from boxcount.series import MAX_TRUNC, Monomial
@@ -23,6 +29,97 @@ MAX_OPS_TRUNC = 8
 # upper bound of -N on every route that enumerates piles (enum, pyramid, sign, and verify's
 # group, pyramid, transfer: and sign: targets); see README for the slowest accepted case
 MAX_ENUM_TRUNC = 24
+
+
+class Route(NamedTuple):
+    label: str  # what `verify` calls it
+    enumerates: bool  # walks the piles, so -N is capped at MAX_ENUM_TRUNC
+    series: Callable  # truncation -> Series
+
+
+def route(command, which=None, side="orbifold"):
+    """The route of a series subcommand; ValueError for a name it cannot take.
+
+    Probed functions are called through their modules, so that a probe
+    installed on the module attribute sees the call, and each route imports
+    only the modules it runs.
+    """
+    if command == "pyramid":
+        from boxcount import pyramid
+
+        return Route("enumeration", True, lambda N: pyramid.pyramid_series(N))
+    if command == "transfer":
+        from boxcount import fock
+
+        machine = fock.machine(which)
+        return Route("transfer machine", False, lambda N: fock.evaluate(machine, N))
+    if command == "formula" and which == "pyramid":
+        from boxcount import formulas
+
+        return Route("closed formula", False, lambda N: formulas.closed_pyramid(N))
+    group = colouring.parse_group(which)
+    if command == "enum":
+        from boxcount import enum3d
+
+        return Route("enumeration", True, lambda N: enum3d.coloured_series(group, N))
+    if command == "sign":
+        from boxcount import dtsign
+
+        coloured = route("enum", which).series
+        return Route("sign table", True, lambda N: dtsign.sign_map(group, coloured(N)))
+    from boxcount import formulas
+
+    # the closed forms exist for some groups only; looking up their rows rejects the others
+    if command == "formula":
+        formulas.orbifold_rows(group)
+        return Route("closed formula", False, lambda N: formulas.closed_orbifold(group, N))
+    if command == "dt" and side == "orbifold":
+        formulas.orbifold_rows(group)
+        formulas.dt_sign_variables(group)
+        return Route("signed orbifold formula", False, lambda N: formulas.dt_orbifold(group, N))
+    if command == "dt" and side == "resolution":
+        formulas.resolution_rows(group)
+        return Route("resolution formula", False, lambda N: formulas.dt_resolution(group, N))
+    if command == "dt" and side == "paired":
+        formulas.resolution_rows(group)
+        return Route("paired resolution formula", False, lambda N: formulas.dt_resolution_paired(group, N))
+    raise ValueError(f"no route {command!r} for {which!r}")
+
+
+def verify_routes(target):
+    """The routes `verify target` compares: the first against each of the others."""
+    kind, _, name = target.partition(":")
+    if target == "pyramid":
+        return [route("pyramid"), route("formula", "pyramid")]
+    if target == "pair":
+        from boxcount import formulas
+
+        # the pyramid rows and the one two-sided row M~(qa qb, q), as one factor list
+        rows = formulas.pyramid_rows()
+        q = rows[0][1]
+        rows.append((Monomial.from_exponents(q.vars, {"qa": 1, "qb": 1}), q, 1, True))
+        paired = Route("paired pyramid formula", False, lambda N: formulas.evaluate(rows, N))
+        return [route("formula", "klein")._replace(label="klein formula"), paired]
+    if kind == "transfer":
+        from boxcount import fock
+
+        group = fock.machine(name).group
+        return [route("transfer", name), route("pyramid") if group is None else route("enum", group.name)]
+    if kind == "sign":
+        from boxcount import dtsign, formulas
+
+        closed = route("dt", name)._replace(label="signed closed formula")
+        group = colouring.parse_group(name)
+        flipped = formulas.dt_sign_variables(group)
+        # the table and the substitution sign one enumeration
+        coloured = lru_cache(maxsize=1)(route("enum", name).series)
+        table = Route("sign table", True, lambda N: dtsign.sign_map(group, coloured(N)))
+        return [table, Route("sign substitution", True, lambda N: coloured(N).substitute_signs(flipped)), closed]
+    if kind == "pairing":
+        return [route("dt", name), route("dt", name, "paired")]
+    if kind in ("zn", "klein", "z3diag"):
+        return [route("enum", target), route("formula", target)]
+    raise ValueError(f"unknown verify target {target!r}")
 
 
 def _emit(series, fmt, max_terms):
@@ -45,34 +142,6 @@ def _report(name_a, a, name_b, b):
     return 1
 
 
-def _group(parser, text, *needs):
-    """Parse a group name, then look up each of `needs` (functions of the
-    group, such as its closed-form rows) so that a group lacking one is a
-    usage error before any work starts."""
-    try:
-        group = colouring.parse_group(text)
-        for need in needs:
-            need(group)
-    except ValueError as exc:
-        parser.error(str(exc))
-    return group
-
-
-def _enumerable(parser, trunc):
-    """Reject a truncation too deep to enumerate, once the verify target has parsed."""
-    if trunc > MAX_ENUM_TRUNC:
-        parser.error(f"argument -N/--trunc: this verify target enumerates, so -N must be in [0, {MAX_ENUM_TRUNC}], got {trunc}")
-
-
-def _transfer_machine(parser, which):
-    from boxcount import fock
-
-    try:
-        return fock.machine(which)
-    except ValueError as exc:
-        parser.error(str(exc))
-
-
 def _int_in(what, lo, hi=None):
     """argparse type for an integer `what` in [lo, hi] (unbounded above when hi is None)."""
 
@@ -89,222 +158,88 @@ def _int_in(what, lo, hi=None):
     return parse
 
 
-# every -N
-_trunc = _int_in("truncation", 0, MAX_TRUNC)
-# -N of the commands that enumerate piles
-_enum_trunc = _int_in("enumeration truncation", 0, MAX_ENUM_TRUNC)
-# every --threads
-_threads = _int_in("thread count", 1, MAX_THREADS)
+def _ops_trunc(text):
+    # imported here, so that only verify-ops loads the catalogue
+    from boxcount import relations
+
+    return _int_in("truncation", relations.MIN_TRUNC, MAX_OPS_TRUNC)(text)
 
 
-def _add_threads(sub):
-    sub.add_argument(
-        "--threads",
-        type=_threads,
-        default=1,
-        help=f"accepted for compatibility, 1..{MAX_THREADS}; has no effect",
-    )
-
-
-def _add_series_opts(sub, trunc=_trunc):
-    sub.add_argument("-N", "--trunc", type=trunc, required=True, help="truncation degree")
-    sub.add_argument("--format", choices=("pretty", "json", "csv"), default="pretty")
-    sub.add_argument(
-        "--max-terms", type=_int_in("term cap", 0), default=20, help="term cap for pretty output, >= 0"
-    )
+# (command, help, positional argument name and help or None, takes --threads)
+SUBCOMMANDS = (
+    ("enum", "coloured box-pile series by direct enumeration", ("group", "zn:K, klein, or z3diag"), True),
+    ("pyramid", "pyramid-partition series by direct enumeration", None, True),
+    ("formula", "closed product formula", ("which", "zn:K, klein, or pyramid"), False),
+    ("transfer", "transfer-operator evaluation",
+     ("which", "a group (zn:K, klein, z3diag), pyramid, pyramid-checkerboard, or z2z2 (= klein)"), False),
+    ("sign", "signed box counting via vertex-character parity", ("group", "zn:K, klein, or z3diag"), True),
+    ("dt", "closed signed forms", ("group", "zn:K or klein"), False),
+    ("verify", "cross-check two independent routes",
+     ("target", "zn:K | klein | pyramid | pair | transfer:{zn:K,klein,z3diag,pyramid,pyramid-checkerboard,z2z2}"
+      " | sign:{zn:K,klein} | pairing:{zn:K,klein}"), True),
+)
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(prog="boxcount", description=__doc__.split("\n")[0])
+    parser.set_defaults(which=None, side="orbifold")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("enum", help="coloured box-pile series by direct enumeration")
-    p.add_argument("group", help="zn:K, klein, or z3diag")
-    _add_series_opts(p, _enum_trunc)
-    _add_threads(p)
-
-    p = sub.add_parser("pyramid", help="pyramid-partition series by direct enumeration")
-    _add_series_opts(p, _enum_trunc)
-    _add_threads(p)
-
-    p = sub.add_parser("formula", help="closed product formula")
-    p.add_argument("which", help="zn:K, klein, or pyramid")
-    _add_series_opts(p)
-
-    p = sub.add_parser("transfer", help="transfer-operator evaluation")
-    p.add_argument("which", help="a group (zn:K, klein, z3diag), pyramid, pyramid-checkerboard, or z2z2 (= klein)")
-    _add_series_opts(p)
-
-    p = sub.add_parser("sign", help="signed box counting via vertex-character parity")
-    p.add_argument("group", help="zn:K, klein, or z3diag")
-    _add_series_opts(p, _enum_trunc)
-    _add_threads(p)
-
-    p = sub.add_parser("dt", help="closed signed forms")
-    p.add_argument("group", help="zn:K or klein")
-    p.add_argument("--side", choices=("orbifold", "resolution", "paired"), default="orbifold")
-    _add_series_opts(p)
-
-    p = sub.add_parser("verify", help="cross-check two independent routes")
-    p.add_argument(
-        "target",
-        help="zn:K | klein | pyramid | pair | transfer:{zn:K,klein,z3diag,pyramid,pyramid-checkerboard,z2z2}"
-        " | sign:{zn:K,klein} | pairing:{zn:K,klein}",
-    )
-    p.add_argument(
-        "-N", "--trunc", type=_trunc, required=True,
-        help=f"truncation degree, 0..{MAX_TRUNC}; 0..{MAX_ENUM_TRUNC} for targets that enumerate (all but pair and pairing:)",
-    )
-    _add_threads(p)
+    for command, about, positional, threads in SUBCOMMANDS:
+        p = sub.add_parser(command, help=about)
+        if positional:
+            p.add_argument("which", metavar=positional[0], help=positional[1])
+        p.add_argument(
+            "-N", "--trunc", type=_int_in("truncation", 0, MAX_TRUNC), required=True,
+            help=f"truncation degree, 0..{MAX_TRUNC}; 0..{MAX_ENUM_TRUNC} on a route that enumerates piles",
+        )
+        if threads:
+            p.add_argument(
+                "--threads", type=_int_in("thread count", 1, MAX_THREADS), default=1,
+                help=f"accepted for compatibility, 1..{MAX_THREADS}; has no effect",
+            )
+        if command == "dt":
+            p.add_argument("--side", choices=("orbifold", "resolution", "paired"), default="orbifold")
+        if command != "verify":
+            p.add_argument("--format", choices=("pretty", "json", "csv"), default="pretty")
+            p.add_argument(
+                "--max-terms", type=_int_in("term cap", 0), default=20, help="term cap for pretty output, >= 0"
+            )
 
     p = sub.add_parser("verify-ops", help="check the operator-identity catalogue")
     p.add_argument(
-        "-N", "--trunc", type=_int_in("truncation", 0, MAX_OPS_TRUNC), default=6, help=f"truncation degree, 0..{MAX_OPS_TRUNC}"
+        "-N", "--trunc", type=_ops_trunc, default=6,
+        help=f"truncation degree, from the least that tells a swapped exchange rule apart up to {MAX_OPS_TRUNC}",
     )
     p.add_argument(
         "--basis", type=_int_in("basis size", 0, MAX_BASIS), default=4, help=f"largest basis partition size, 0..{MAX_BASIS}"
     )
 
     args = parser.parse_args(argv)
-    return COMMANDS[args.command](parser, args)
+    if args.command == "verify-ops":
+        from boxcount import relations
 
+        failed = 0
+        for name, ok, witness in relations.run_all(trunc=args.trunc, max_basis=args.basis):
+            print(f"ok: {name}" if ok else f"FAIL: {name}  (witness {witness})")
+            failed += not ok
+        return 1 if failed else 0
 
-def _cmd_enum(parser, args):
-    from boxcount.enum3d import coloured_series
-
-    group = _group(parser, args.group)
-    _emit(coloured_series(group, args.trunc), args.format, args.max_terms)
-    return 0
-
-
-def _cmd_pyramid(parser, args):
-    from boxcount.pyramid import pyramid_series
-
-    _emit(pyramid_series(args.trunc), args.format, args.max_terms)
-    return 0
-
-
-def _cmd_formula(parser, args):
-    from boxcount import formulas
-
-    if args.which == "pyramid":
-        series = formulas.closed_pyramid(args.trunc)
-    else:
-        series = formulas.closed_orbifold(_group(parser, args.which, formulas.orbifold_rows), args.trunc)
-    _emit(series, args.format, args.max_terms)
-    return 0
-
-
-def _cmd_transfer(parser, args):
-    from boxcount import fock
-
-    machine = _transfer_machine(parser, args.which)
-    _emit(fock.evaluate(machine, args.trunc), args.format, args.max_terms)
-    return 0
-
-
-def _cmd_sign(parser, args):
-    from boxcount.dtsign import sign_map
-    from boxcount.enum3d import coloured_series
-
-    group = _group(parser, args.group)
-    _emit(sign_map(group, coloured_series(group, args.trunc)), args.format, args.max_terms)
-    return 0
-
-
-def _cmd_dt(parser, args):
-    from boxcount import formulas
-
-    if args.side == "orbifold":
-        group = _group(parser, args.group, formulas.orbifold_rows, formulas.dt_sign_variables)
-        series = formulas.dt_orbifold(group, args.trunc)
-    else:
-        group = _group(parser, args.group, formulas.resolution_rows)
-        side = formulas.dt_resolution if args.side == "resolution" else formulas.dt_resolution_paired
-        series = side(group, args.trunc)
-    _emit(series, args.format, args.max_terms)
-    return 0
-
-
-def _cmd_verify(parser, args):
-    from boxcount import fock, formulas
-    from boxcount.dtsign import sign_map
-    from boxcount.enum3d import coloured_series
-    from boxcount.pyramid import pyramid_series
-
-    target = args.target
+    try:
+        routes = verify_routes(args.which) if args.command == "verify" else [route(args.command, args.which, args.side)]
+    except ValueError as exc:
+        parser.error(str(exc))
     N = args.trunc
-    if target == "pyramid":
-        _enumerable(parser, N)
-        return _report("enumeration", pyramid_series(N), "closed formula", formulas.closed_pyramid(N))
-    if target == "pair":
-        # the pyramid rows and the one two-sided row M~(qa qb, q), as one factor list
-        rows = formulas.pyramid_rows()
-        q = rows[0][1]
-        qa_qb = Monomial.from_exponents(q.vars, {"qa": 1, "qb": 1})
-        paired = formulas.evaluate(rows + [(qa_qb, q, 1, True)], N)
-        return _report("klein formula", formulas.closed_klein(N), "paired pyramid formula", paired)
-    if target == "klein" or target.startswith("zn:"):
-        group = _group(parser, target)
-        _enumerable(parser, N)
-        return _report(
-            "enumeration",
-            coloured_series(group, N),
-            "closed formula",
-            formulas.closed_orbifold(group, N),
-        )
-    if target.startswith("transfer:"):
-        machine = _transfer_machine(parser, target[len("transfer:") :])
-        _enumerable(parser, N)
-        if machine.group is None:
-            enumerated = pyramid_series(N)
-        else:
-            enumerated = coloured_series(machine.group, N)
-        return _report("transfer machine", fock.evaluate(machine, N), "enumeration", enumerated)
-    if target.startswith("sign:"):
-        group = _group(parser, target[len("sign:") :], formulas.orbifold_rows, formulas.dt_sign_variables)
-        _enumerable(parser, N)
-        coloured = coloured_series(group, N)
-        signed = sign_map(group, coloured)
-        subst = coloured.substitute_signs(formulas.dt_sign_variables(group))
-        rc = _report("sign table", signed, "sign substitution", subst)
-        return rc or _report("sign table", signed, "signed closed formula", formulas.dt_orbifold(group, N))
-    if target.startswith("pairing:"):
-        group = _group(
-            parser, target[len("pairing:") :], formulas.orbifold_rows, formulas.dt_sign_variables, formulas.resolution_rows
-        )
-        return _report(
-            "signed orbifold formula",
-            formulas.dt_orbifold(group, N),
-            "paired resolution formula",
-            formulas.dt_resolution_paired(group, N),
-        )
-    parser.error(f"unknown verify target {target!r}")
-
-
-def _cmd_verify_ops(parser, args):
-    from boxcount import relations
-
-    failed = 0
-    for name, ok, witness in relations.run_all(trunc=args.trunc, max_basis=args.basis):
-        line = f"{'ok' if ok else 'FAIL'}: {name}"
-        if not ok:
-            line += f"  (witness {witness})"
-            failed += 1
-        print(line)
-    return 1 if failed else 0
-
-
-COMMANDS = {
-    "enum": _cmd_enum,
-    "pyramid": _cmd_pyramid,
-    "formula": _cmd_formula,
-    "transfer": _cmd_transfer,
-    "sign": _cmd_sign,
-    "dt": _cmd_dt,
-    "verify": _cmd_verify,
-    "verify-ops": _cmd_verify_ops,
-}
+    if N > MAX_ENUM_TRUNC and any(r.enumerates for r in routes):
+        parser.error(f"argument -N/--trunc: a route that enumerates piles needs -N in [0, {MAX_ENUM_TRUNC}], got {N}")
+    first, *others = routes
+    series = first.series(N)
+    if args.command != "verify":
+        _emit(series, args.format, args.max_terms)
+        return 0
+    for other in others:
+        if _report(first.label, series, other.label, other.series(N)):
+            return 1
+    return 0
 
 
 if __name__ == "__main__":

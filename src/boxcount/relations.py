@@ -135,6 +135,16 @@ CATALOGUE = {
     "block-commutator": _block_commutator(),
 }
 
+# The least truncation at which every exchange case tells the rule's two cases
+# apart: (1 - u)^-1 and 1 + u first differ at u^2, so a case shows a swapped rule
+# from twice its lowest factor degree, which is that factor's degree in half-units.
+MIN_TRUNC = max(
+    min(u.degree_halves for u, _ in exchange_factors(*split))
+    for _, cases in CATALOGUE.values()
+    for *_, split in cases
+    if split is not None
+)
+
 
 def check(name, trunc=6, max_basis=4):
     """Check every case of the catalogue row `name`; returns (ok, witness)."""

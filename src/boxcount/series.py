@@ -490,30 +490,24 @@ class Series:
 
     def substitute_signs(self, names):
         """Substitute q -> -q for each variable named in `names`."""
-        idxs = []
+        mask = 0
         for name in names:
             try:
-                idxs.append(self.vars.index(name))
+                mask |= 1 << self.vars.index(name)
             except ValueError:
                 raise ValueError(f"unknown variable {name!r}") from None
-        out = {}
-        for k, c in self._terms.items():
-            parity = 0
-            for i in idxs:
-                h = (k >> (_LANE * i)) & _LANE_MASK
-                if h % 2:
-                    raise ValueError("sign substitution on a half-integer exponent")
-                parity += h // 2
-            out[k] = -c if parity % 2 else c
-        return Series(self.vars, self.trunc, out, _trusted=True)
+        return self.sign_by_parities([(q & mask).bit_count() % 2 for q in range(1 << len(self.vars))])
 
     def sign_by_parities(self, odd):
         """Negate each coefficient whose monomial's odd-exponent bitmask q
         (bit i for variable i) has odd[q] true."""
         m = len(self.vars)
+        # bit 0 of a lane is its half-unit; bit 1 is its whole exponent mod 2
+        halves = sum(1 << (_LANE * i) for i in range(m))
         out = {}
         for key, c in self._terms.items():
-            # bit 1 of a lane is its whole exponent mod 2
+            if key & halves:
+                raise ValueError("sign substitution on a half-integer exponent")
             q = sum(((key >> (_LANE * i + 1)) & 1) << i for i in range(m))
             out[key] = -c if odd[q] else c
         return Series(self.vars, self.trunc, out, _trusted=True)

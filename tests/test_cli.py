@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import boxcount
-from boxcount import cli
+from boxcount import cli, enum3d, pyramid, relations
 from boxcount.colouring import zn_group
 from boxcount.enum3d import coloured_series
 from boxcount.formulas import closed_zn
@@ -61,7 +61,7 @@ def test_verify_targets_agree(capsys, target):
 
 
 def test_verify_ops(capsys):
-    code, out = run(capsys, "verify-ops", "-N", "4", "--basis", "2")
+    code, out = run(capsys, "verify-ops", "-N", str(relations.MIN_TRUNC), "--basis", "2")
     assert code == 0
     assert out.count("ok:") == 6
 
@@ -124,7 +124,9 @@ def test_usage_errors_exit_2(capsys):
                  ["verify-ops", "--basis", "9"],
                  ["verify-ops", "--basis", "18"],
                  ["verify-ops", "--basis", "x"],
-                 # verify-ops truncation outside [0, 8]
+                 # verify-ops truncation outside [relations.MIN_TRUNC, 8]
+                 ["verify-ops", "-N", "0"],
+                 ["verify-ops", "-N", "5"],
                  ["verify-ops", "-N", "9"],
                  ["verify-ops", "-N", "12"],
                  ["verify-ops", "-N", "63"],
@@ -173,8 +175,10 @@ def test_mismatch_reporting(capsys):
     "argv",
     [["transfer", "z2z2", "-N", "64"],
      *([*target, "-N", str(cli.MAX_ENUM_TRUNC + 1)] for target in (
-         ["enum", "klein"], ["pyramid"], ["sign", "zn:3"], ["verify", "klein"], ["verify", "pyramid"],
-         ["verify", "transfer:pyramid"], ["verify", "sign:zn:3"]))],
+         ["enum", "klein"], ["enum", "z3diag"], ["pyramid"], ["sign", "zn:3"], ["verify", "klein"],
+         ["verify", "zn:3"], ["verify", "pyramid"], ["verify", "transfer:z2z2"], ["verify", "transfer:pyramid"],
+         ["verify", "transfer:pyramid-checkerboard"], ["verify", "transfer:z3diag"], ["verify", "sign:zn:3"],
+         ["verify", "sign:klein"]))],
     ids=lambda argv: "-".join(argv[:-2]),
 )
 def test_out_of_range_truncation_is_rejected_before_any_work(argv):
@@ -188,3 +192,58 @@ def test_out_of_range_truncation_is_rejected_before_any_work(argv):
     assert proc.returncode == 2, proc.stderr
     assert time.monotonic() - start < 5
     assert "Traceback" not in proc.stderr
+
+
+@pytest.fixture
+def no_enumeration(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a route ran while its table entry was built")
+
+    monkeypatch.setattr(enum3d, "coloured_series", refuse)
+    monkeypatch.setattr(pyramid, "pyramid_series", refuse)
+
+
+@pytest.mark.parametrize(
+    "command, which, side",
+    [("enum", "nope", None), ("enum", "zn:0", None), ("enum", "zn:8", None), ("sign", "zn:8", None),
+     ("transfer", "nope", None), ("transfer", "zn:0", None), ("formula", "nope", None), ("formula", "zn:8", None),
+     ("formula", "z3diag", None), ("dt", "z3diag", "orbifold"), ("dt", "z3diag", "resolution"),
+     ("dt", "z3diag", "paired"), ("dt", "klein", "nope"), ("nope", "klein", None)],
+)
+def test_route_refuses_a_name_it_cannot_take(no_enumeration, command, which, side):
+    with pytest.raises(ValueError):
+        cli.route(command, which, side)
+
+
+@pytest.mark.parametrize(
+    "target",
+    ["nope", "zn:0", "zn:8", "z3diag", "transfer:nope", "transfer:zn:0", "transfer:zn:8",
+     "sign:nope", "sign:zn:8", "sign:z3diag", "pairing:nope", "pairing:zn:0", "pairing:z3diag"],
+)
+def test_verify_routes_refuse_a_target_they_cannot_take(no_enumeration, target):
+    with pytest.raises(ValueError):
+        cli.verify_routes(target)
+
+
+def test_routes_are_built_without_running(no_enumeration):
+    for target in ("klein", "zn:3", "pyramid", "pair", "transfer:z2z2", "transfer:pyramid", "sign:klein"):
+        assert len(cli.verify_routes(target)) >= 2
+
+
+def test_verify_sign_enumerates_once(capsys, monkeypatch):
+    calls = []
+    walk = enum3d.coloured_series
+    monkeypatch.setattr(enum3d, "coloured_series", lambda group, N: calls.append(N) or walk(group, N))
+    code, out = run(capsys, "verify", "sign:klein", "-N", "6")
+    assert code == 0 and out.count("ok:") == 2
+    assert calls == [6]
+
+
+def test_enumeration_loads_no_closed_form_or_transfer_module():
+    src = str(Path(boxcount.__file__).resolve().parent.parent)
+    probe = "import sys; from boxcount import cli; cli.main(['enum', 'klein', '-N', '3']); print(sorted(sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=20)
+    loaded = proc.stdout.splitlines()[-1]
+    assert "boxcount.enum3d" in loaded
+    assert "boxcount.fock" not in loaded and "boxcount.formulas" not in loaded

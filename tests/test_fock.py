@@ -182,11 +182,15 @@ def test_relation_catalogue_smoke():
 def test_catalogue_scalars_follow_the_exchange_rule(monkeypatch):
     # (u, e) -> (-u, -e) swaps the rule's two cases, (1 - xy)^-1 and (1 + xy).  The two
     # agree to first order and every block factor has degree >= 3, so the swap first
-    # shows in the block at degree 6
+    # shows in the block at degree 6, the catalogue's derived lowest telling truncation
+    assert relations.MIN_TRUNC == 6
     rule = relations.exchange_factors
     monkeypatch.setattr(relations, "exchange_factors", lambda plus, minus: [(-u, -e) for u, e in rule(plus, minus)])
-    failed = {name for name, ok, _ in relations.run_all(trunc=6, max_basis=3) if not ok}
+    failed = {name for name, ok, _ in relations.run_all(trunc=relations.MIN_TRUNC, max_basis=3) if not ok}
     assert failed == {"gamma-commutators", "even-part", "block-commutator"}
+    # one degree lower the block passes with the wrong rule, which is why verify-ops refuses it
+    failed = {name for name, ok, _ in relations.run_all(trunc=relations.MIN_TRUNC - 1, max_basis=3) if not ok}
+    assert failed == {"gamma-commutators", "even-part"}
 
 
 def transfer(name, trunc):

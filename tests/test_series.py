@@ -179,6 +179,16 @@ def test_substitute_signs_involution(a):
         assert flipped.coefficient(exps) == want
 
 
+def test_sign_flips_refuse_half_integer_exponents():
+    # sqrt(x) y: sign_by_parities reads every lane, so even a flip of y alone refuses it
+    V = ("x", "y")
+    s = Series.one(V, 3) + Series.from_monomial(Monomial.from_half_exponents(V, {"x": 1, "y": 2}), 3)
+    with pytest.raises(ValueError, match="half-integer"):
+        s.substitute_signs(["y"])
+    with pytest.raises(ValueError, match="half-integer"):
+        s.sign_by_parities([0, 1, 0, 1])
+
+
 @given(small_series)
 @settings(max_examples=40, deadline=None)
 def test_json_round_trip_property(a):
