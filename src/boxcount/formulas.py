@@ -5,9 +5,9 @@ written here as data: a list of rows (x, q, p, two_sided), each standing
 for M(x, q)**p, or for the two-sided M~(x, q)**p when two_sided is set
 (boxcount.series.macmahon and macmahon_tilde).  A negative power p is a
 denominator.  `evaluate` expands every row into its factor pairs (u, m*p)
-and hands the whole list to boxcount.series.euler_product, which computes
-the product of (1 - u)**(-e) in one graded recurrence; no series is
-inverted or raised to a power on the way.
+and hands the whole list to boxcount.series.euler_product, which merges
+equal factors and multiplies in the binomial series of (1 - u)**(-e) one
+factor at a time; no series is inverted or raised to a power on the way.
 
 The signed forms on the resolved side read one table of curve classes.
 `dt_resolution` puts each class on the curve variables, and

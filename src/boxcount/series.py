@@ -16,8 +16,8 @@ by the layout; it is the colour count of zn:7, the largest group built.
 
 Every infinite product in the package is evaluated by one function,
 `euler_product(vars, trunc, factors)`: the product of (1 - u)**(-e) over a
-list of (signed monomial u of positive degree, integer e) pairs, computed
-degree by degree from the logarithmic derivative (the Euler transform).
+list of (signed monomial u of positive degree, integer e) pairs, built by
+multiplying in the binomial series of one merged factor at a time.
 The MacMahon products `macmahon` and `macmahon_tilde` only build their
 factor lists and call it.  They, `Series.inverse` and `Series.__pow__`
 remain only for the tests and the perfbench harness's probes.
@@ -31,9 +31,9 @@ from boxcount import _kernels
 
 MAX_VARS = 7
 MAX_TRUNC = 63
-# bits per exponent lane of a packed key
+# bits per exponent lane of a packed key: one byte, so `int.to_bytes` unpacks
+# a key with the half-degree lane as its last byte
 _LANE = 8
-_LANE_MASK = (1 << _LANE) - 1
 
 
 def _check_vars(vars):
@@ -67,12 +67,13 @@ def var_key(nvars, i):
     return _pack([2 if j == i else 0 for j in range(nvars)])
 
 
+def _half_units(nvars):
+    """The mask of every lane's half-unit bit."""
+    return sum(1 << (_LANE * i) for i in range(nvars))
+
+
 def _unpack(key, nvars):
-    return tuple((key >> (_LANE * i)) & _LANE_MASK for i in range(nvars))
-
-
-def _sort_key(key, nvars):
-    return (key >> (_LANE * nvars), _unpack(key, nvars))
+    return tuple(key.to_bytes(nvars + 1, "little")[:nvars])
 
 
 class Monomial:
@@ -271,18 +272,27 @@ class Series:
             raise ValueError("exponent tuple length does not match variables")
         return self._terms.get(_pack(tuple(2 * e for e in exps)), 0)
 
+    def _rows(self, whole=False):
+        """Sorted (half-degree, exponent bytes, coefficient) rows, which is
+        canonical order; exponents in whole units if `whole`, else halves."""
+        m = len(self.vars)
+        half = _half_units(m)
+        if whole and any(k & half for k in self._terms):
+            raise ValueError("series has half-integer exponents")
+        # with no half-unit bit set, one shift halves every lane at once
+        w, shift = int(whole), self._shift
+        rows = [(k >> shift, (k >> w).to_bytes(m + 1, "little")[:m], c) for k, c in self._terms.items()]
+        return sorted(rows)
+
     def items(self):
         """Yield (half-exponent tuple, coefficient) in canonical order."""
-        m = len(self.vars)
-        for key in sorted(self._terms, key=lambda k: _sort_key(k, m)):
-            yield _unpack(key, m), self._terms[key]
+        for _, halves, coef in self._rows():
+            yield tuple(halves), coef
 
     def iter_whole(self):
         """Yield (whole-unit exponent tuple, coefficient) in canonical order."""
-        for halves, coef in self.items():
-            if any(h % 2 for h in halves):
-                raise ValueError("series has half-integer exponents")
-            yield tuple(h // 2 for h in halves), coef
+        for _, exps, coef in self._rows(whole=True):
+            yield tuple(exps), coef
 
     def __len__(self):
         return len(self._terms)
@@ -311,15 +321,13 @@ class Series:
             raise ValueError("variable sets differ")
         m = len(self.vars)
         cap = 2 * min(self.trunc, other.trunc)
-        keys = set()
-        for s in (self, other):
-            keys.update(k for k in s._terms if (k >> self._shift) <= cap)
-        for key in sorted(keys, key=lambda k: _sort_key(k, m)):
-            ca = self._terms.get(key, 0)
-            cb = other._terms.get(key, 0)
-            if ca != cb:
-                return _unpack(key, m), ca, cb
-        return None
+        shift = self._shift
+        a, b = self._terms, other._terms
+        differ = [k for k in a.keys() | b.keys() if (k >> shift) <= cap and a.get(k, 0) != b.get(k, 0)]
+        if not differ:
+            return None
+        key = min(differ, key=lambda k: (k >> shift, _unpack(k, m)))
+        return _unpack(key, m), a.get(key, 0), b.get(key, 0)
 
     def pretty(self, max_terms=None):
         parts = []
@@ -503,7 +511,7 @@ class Series:
         (bit i for variable i) has odd[q] true."""
         m = len(self.vars)
         # bit 0 of a lane is its half-unit; bit 1 is its whole exponent mod 2
-        halves = sum(1 << (_LANE * i) for i in range(m))
+        halves = _half_units(m)
         out = {}
         for key, c in self._terms.items():
             if key & halves:
@@ -515,16 +523,15 @@ class Series:
     # -- serialization ---------------------------------------------------
 
     def to_json_dict(self):
-        return {
-            "vars": list(self.vars),
-            "trunc": self.trunc,
-            "terms": [
-                {"exp": list(exps), "coef": str(coef)} for exps, coef in self.iter_whole()
-            ],
-        }
+        terms = [{"exp": list(exps), "coef": str(coef)} for exps, coef in self.iter_whole()]
+        return {"vars": list(self.vars), "trunc": self.trunc, "terms": terms}
 
-    def to_json(self, indent=None):
-        return json.dumps(self.to_json_dict(), indent=indent)
+    def to_json(self):
+        """The text of json.dumps(self.to_json_dict()), written in one pass."""
+        head = json.dumps({"vars": list(self.vars), "trunc": self.trunc})
+        term = '{"exp": [' + ", ".join(["%d"] * len(self.vars)) + '], "coef": "%s"}'
+        body = ", ".join([term % (*exps, coef) for _, exps, coef in self._rows(whole=True)])
+        return head[:-1] + ', "terms": [' + body + "]}"
 
     @classmethod
     def from_json_dict(cls, data):
@@ -541,10 +548,9 @@ class Series:
 
     def to_csv(self):
         header = "degree," + ",".join(f"exponent_{v}" for v in self.vars) + ",coefficient"
-        lines = [header]
-        for exps, coef in self.iter_whole():
-            lines.append(f"{sum(exps)}," + ",".join(str(e) for e in exps) + f",{coef}")
-        return "\n".join(lines) + "\n"
+        line = "%d," + ",".join(["%d"] * len(self.vars)) + ",%s"
+        rows = self._rows(whole=True)
+        return "\n".join([header] + [line % (d // 2, *exps, coef) for d, exps, coef in rows]) + "\n"
 
 
 # -- product formulas ------------------------------------------------------
@@ -554,57 +560,50 @@ def euler_product(vars, trunc, factors):
     """The product of (1 - u)**(-e) over the (u, e) pairs in `factors`.
 
     Each u is a signed monomial of positive degree on `vars` and each e an
-    integer of either sign; a u may appear more than once.  The product F is
-    built by the graded Euler transform.  Let E multiply a term by its total
-    half-degree.  Then E log F = sum of e * deg(u) * sum_k sign(u)**k * u**k
-    over the factors, a series L with integer coefficients, and E F = F * L
-    gives, for the half-degree-D part a_D of F,
-
-        D * a_D = sum over j >= 1 of L_j * a_(D-j),    a_0 = 1.
-
-    The division by D is exact: every factor has integer coefficients (a
-    binomial series for e > 0, a polynomial for e < 0), so F does too, and
-    the recurrence fixes each a_D from the lower parts, so its integer
-    solution is F.  A remainder would mean a broken kernel, and raises.
+    integer of either sign.  Equal signed u are merged by summing their e.
+    The product is kept as its parts by half-degree and multiplied in place
+    by one factor at a time, highest degree first, as the binomial series
+    sum over k of C(e+k-1, k) * u**k (for e < 0, the polynomial
+    (1 - u)**|e|).  The parts are walked from the top down, so each is read
+    before a lower part adds into it.
     """
     _check_vars(vars)
     if not isinstance(trunc, int) or not 0 <= trunc <= MAX_TRUNC:
         raise ValueError(f"trunc must be an integer in [0, {MAX_TRUNC}]")
     cap = 2 * trunc
     shift = degree_shift(len(vars))
-    log_terms = {}  # L, by packed monomial
+    merged = {}  # (half-degree of u, packed u, sign of u) -> summed e
     for u, e in factors:
         if u.vars != vars:
             raise ValueError("variable sets differ")
-        d = u.degree_halves
-        if d == 0:
+        if u.degree_halves == 0:
             raise ValueError("factor argument must have positive degree")
-        key = u.packed()
-        c = e * d
+        key = (u.degree_halves, u.packed(), u.sign)
+        merged[key] = merged.get(key, 0) + e
+    parts = [{0: 1}] + [{} for _ in range(cap)]  # parts[D] is the half-degree-D part
+    top = 0  # highest occupied half-degree
+    for (d, key, sign), e in sorted(merged.items(), reverse=True):
+        steps = []  # (half-degree, packed monomial, coefficient) of each term b_k u**k, k >= 1
+        b = 1
         for k in range(1, cap // d + 1):
-            log_terms[k * key] = log_terms.get(k * key, 0) + (-c if u.sign < 0 and k % 2 else c)
-    log_parts = {}
-    for key, c in log_terms.items():
-        if c:
-            log_parts.setdefault(key >> shift, []).append((key, c))
-    parts = [{0: 1}]  # parts[D] is a_D
-    for D in range(1, cap + 1):
-        acc = {}
-        for j, terms in log_parts.items():
-            if j <= D and parts[D - j]:
-                for key, c in terms:
-                    _kernels.scale_accumulate(acc, parts[D - j], key, c, cap, shift)
-        part = {}
-        for key, c in acc.items():
-            a, r = divmod(c, D)
-            if r:
-                raise ArithmeticError(f"Euler transform: {c} is not divisible by degree {D}")
-            part[key] = a
-        parts.append(part)
-    out = {}
-    for part in parts:
-        out.update(part)
-    return Series(vars, trunc, out, _trusted=True)
+            b = b * (e + k - 1) // k  # b_k = C(e+k-1, k), exactly
+            if not b:
+                break
+            steps.append((k * d, k * key, -b if sign < 0 and k % 2 else b))
+        if not steps:
+            continue  # e summed to 0, or u lies above the cap: the factor is 1
+        for D in range(top, -1, -1):
+            src = parts[D]
+            if not src:
+                continue
+            for dk, kkey, coef in steps:
+                if D + dk > cap:
+                    break
+                _kernels.scale_accumulate(parts[D + dk], src, kkey, coef, cap, shift)
+        top = min(cap, top + steps[-1][0])
+    for part in parts[1:]:
+        parts[0].update(part)
+    return Series(vars, trunc, parts[0], _trusted=True)
 
 
 def macmahon_factors(x, q, trunc, two_sided=False):

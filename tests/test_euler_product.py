@@ -1,9 +1,12 @@
 """series.euler_product against a naive product of (1 - u)**(-e) factors.
 
 The reference multiplies one series per factor, raised to -e through
-Series.inverse() and Series.__pow__, and shares no code with the graded
-recurrence under test.
+Series.inverse() and Series.__pow__.  It neither merges equal factors nor
+forms a binomial coefficient, so it shares no code with the in-place
+binomial products under test.
 """
+
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -46,17 +49,58 @@ def test_factor_tables_match_naive_product(name, rows):
 def factor_lists(draw):
     vars = ("x", "y", "z")[: draw(st.integers(2, 3))]
     trunc = draw(st.integers(0, 8))
+    # half-unit exponents give odd half-degrees; up to 4 per lane, some u lie above the cap
     halves = st.tuples(*[st.integers(0, 4)] * len(vars)).filter(any)
-    raw = draw(st.lists(st.tuples(halves, st.sampled_from((1, -1)), st.integers(-3, 3)), max_size=5))
-    return vars, trunc, [(Monomial(vars, h, sign), e) for h, sign, e in raw]
+    pool = draw(st.lists(st.tuples(halves, st.sampled_from((1, -1))), min_size=1, max_size=4))
+    # drawing from a small pool repeats equal u, whose exponents then merge
+    raw = draw(st.lists(st.tuples(st.sampled_from(pool), st.integers(-30, 30)), max_size=6))
+    return vars, trunc, [(Monomial(vars, h, sign), e) for (h, sign), e in raw]
 
 
 @given(factor_lists())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 def test_random_factors_match_naive_product(case):
-    # half-unit exponents give odd half-degrees, which the recurrence steps through too
     vars, trunc, factors = case
     assert euler_product(vars, trunc, factors) == naive_product(vars, trunc, factors)
+
+
+def test_equal_factors_merge():
+    V = ("x", "y")
+    x, y = Monomial.var(V, "x"), Monomial.var(V, "y")
+    half = Monomial.from_half_exponents(V, {"x": 1, "y": 2})
+    N = 8
+    # exponents that sum to 0 leave no factor, in any order and for either sign of u
+    assert euler_product(V, N, [(x, 3), (-half, 30), (x, -3), (-half, -30)]).is_one()
+    assert euler_product(V, N, [(-x, 2), (y, 1), (-x, -2)]) == euler_product(V, N, [(y, 1)])
+    # u and -u are different factors, and do not merge
+    mixed = [(x, 2), (-x, 2), (x, -1), (-half, -7), (-half, 4)]
+    assert euler_product(V, N, mixed) == naive_product(V, N, mixed)
+    assert euler_product(V, N, mixed) == euler_product(V, N, [(x, 1), (-x, 2), (-half, -3)])
+
+
+@pytest.mark.parametrize("e", [-30, -17, -1, 1, 2, 30])
+def test_large_exponents_of_signed_half_unit_factors(e):
+    V = ("x", "y")
+    u = Monomial.from_half_exponents(V, {"x": 1}, sign=-1)
+    v = Monomial.from_half_exponents(V, {"x": 1, "y": 1})
+    factors = [(u, e), (v, -e // 2 or 1)]
+    assert euler_product(V, 8, factors) == naive_product(V, 8, factors)
+
+
+def test_signed_polynomial_factor_is_a_binomial_row():
+    # u = -sqrt(x), e = -30: (1 - u)**30 = (1 + sqrt(x))**30, every coefficient positive
+    u = -Monomial.from_half_exponents(("x",), {"x": 1})
+    assert [c for _, c in euler_product(("x",), 15, [(u, -30)]).items()] == [math.comb(30, k) for k in range(31)]
+
+
+def test_factors_above_the_cap_are_one():
+    V = ("x", "y")
+    x = Monomial.var(V, "x")
+    big = Monomial.from_exponents(V, {"x": 3, "y": 2})
+    for N in (0, 1, 4):
+        assert euler_product(V, N, [(big, 5), (-big, -30)]).is_one()
+        assert euler_product(V, N, [(x, 2), (big, 1)]) == euler_product(V, N, [(x, 2)])
+    assert euler_product(V, 5, [(x, 2), (big, 1)]) == naive_product(V, 5, [(x, 2), (big, 1)])
 
 
 def test_degree_zero_factor_raises():

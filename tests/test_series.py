@@ -1,10 +1,12 @@
+import hashlib
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from boxcount.series import Monomial, Series, euler_product, macmahon, macmahon_tilde
+from boxcount import cli
+from boxcount.series import MAX_TRUNC, MAX_VARS, Monomial, Series, euler_product, macmahon, macmahon_tilde
 
 # frozen from tools/oracles/series_products.py
 MAC_M_1Q_14 = [1, 1, 3, 6, 13, 24, 48, 86, 160, 282, 500, 859, 1479, 2485, 4167]
@@ -193,3 +195,57 @@ def test_sign_flips_refuse_half_integer_exponents():
 @settings(max_examples=40, deadline=None)
 def test_json_round_trip_property(a):
     assert Series.from_json(a.to_json()) == a
+
+
+@st.composite
+def any_series(draw):
+    # names json.dumps must escape, up to every variable, every truncation and huge coefficients
+    names = st.text(alphabet='qxy"\\\x01\u00e9\u263a', min_size=1, max_size=3)
+    vars = tuple(draw(st.lists(names, min_size=1, max_size=MAX_VARS, unique=True)))
+    trunc = draw(st.sampled_from((0, MAX_TRUNC)) | st.integers(0, MAX_TRUNC))
+    terms = {}
+    for _ in range(draw(st.integers(0, 12))):
+        room, exps = trunc, []
+        for _ in vars:
+            exps.append(draw(st.integers(0, room)))
+            room -= exps[-1]
+        exps = draw(st.permutations(exps))
+        terms[tuple(exps)] = draw(st.integers(-(2**80), 2**80))
+    return Series.from_terms(vars, trunc, terms)
+
+
+@given(any_series())
+@example(Series.zero(("q",), 0))
+@example(Series.zero(tuple("abcdefg"), MAX_TRUNC))
+@example(Series.from_terms(("x", "y"), MAX_TRUNC, {(0, 0): 2**64 + 1, (MAX_TRUNC, 0): -(2**70), (1, 62): -1}))
+@settings(max_examples=150, deadline=None)
+def test_json_writer_matches_json_dumps(s):
+    assert s.to_json() == json.dumps(s.to_json_dict())
+
+
+def test_writers_refuse_half_integer_exponents():
+    V = ("x", "y")
+    s = Series.one(V, 3) + Series.from_monomial(Monomial.from_half_exponents(V, {"x": 1, "y": 2}), 3)
+    for write in (s.to_json, s.to_csv, s.to_json_dict, lambda: list(s.iter_whole())):
+        with pytest.raises(ValueError, match="half-integer"):
+            write()
+    assert [h for h, _ in s.items()] == [(0, 0), (1, 2)]
+
+
+# sha256 of the CLI's stdout, recorded before the one-pass writers replaced json.dumps
+CLI_DIGESTS = {
+    ("formula klein -N 12", "json"): "31b6076f992069895df0316171366361e83b7f83c4c4174d81c25dea0b6ec495",
+    ("formula klein -N 12", "csv"): "f7cb22c284b707a2d4756da7872aa84db6c3b9e878898698f34a1bf738174a6f",
+    ("dt klein -N 12 --side paired", "json"): "2ccfa8416881e8ef1ee0afc53d5904a8a0b3f72bb66330d03a875412b804804a",
+    ("dt klein -N 12 --side paired", "csv"): "85146f8313885457e635b0beaa1f5bd4c60db812b20492b01bc76b44b6dbdd78",
+    ("enum zn:3 -N 8", "json"): "ea112ea84b705dd9af4d340c78178ff52de0c049e66ebc8ae5dcee3bf0c4117e",
+    ("enum zn:3 -N 8", "csv"): "a8e3f292e179df4b39d663070691e9294cbab9c847636d497a34a76894446688",
+    ("transfer pyramid -N 8", "json"): "b5546a88cb393400c7b8922e09889c589f09e695efe17d6dcd02f18af236893a",
+    ("transfer pyramid -N 8", "csv"): "c56ce620b33fdfd00e0ec7f8a7d148242402fa243835c871165c3da77ff357b6",
+}
+
+
+@pytest.mark.parametrize("command, fmt", sorted(CLI_DIGESTS), ids=[f"{c} {f}" for c, f in sorted(CLI_DIGESTS)])
+def test_cli_output_bytes_are_pinned(capsys, command, fmt):
+    assert cli.main([*command.split(), "--format", fmt]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == CLI_DIGESTS[command, fmt]
