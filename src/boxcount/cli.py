@@ -69,19 +69,14 @@ def route(command, which=None, side="orbifold"):
         return Route("sign table", True, lambda N: dtsign.sign_map(group, coloured(N)))
     from boxcount import formulas
 
-    # the closed forms exist for some groups only; looking up their rows rejects the others
+    formulas.closed_form(group)  # rejects a group without closed forms
     if command == "formula":
-        formulas.orbifold_rows(group)
         return Route("closed formula", False, lambda N: formulas.closed_orbifold(group, N))
     if command == "dt" and side == "orbifold":
-        formulas.orbifold_rows(group)
-        formulas.dt_sign_variables(group)
         return Route("signed orbifold formula", False, lambda N: formulas.dt_orbifold(group, N))
     if command == "dt" and side == "resolution":
-        formulas.resolution_rows(group)
         return Route("resolution formula", False, lambda N: formulas.dt_resolution(group, N))
     if command == "dt" and side == "paired":
-        formulas.resolution_rows(group)
         return Route("paired resolution formula", False, lambda N: formulas.dt_resolution_paired(group, N))
     raise ValueError(f"no route {command!r} for {which!r}")
 
@@ -94,11 +89,7 @@ def verify_routes(target):
     if target == "pair":
         from boxcount import formulas
 
-        # the pyramid rows and the one two-sided row M~(qa qb, q), as one factor list
-        rows = formulas.pyramid_rows()
-        q = rows[0][1]
-        rows.append((Monomial.from_exponents(q.vars, {"qa": 1, "qb": 1}), q, 1, True))
-        paired = Route("paired pyramid formula", False, lambda N: formulas.evaluate(rows, N))
+        paired = Route("paired pyramid formula", False, lambda N: formulas.evaluate(formulas.pair_rows(), N))
         return [route("formula", "klein")._replace(label="klein formula"), paired]
     if kind == "transfer":
         from boxcount import fock

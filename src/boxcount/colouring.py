@@ -13,9 +13,9 @@ significant.  Three actions are supported:
 * ``z3diag`` -- ((3, (1, 1, 1)),): colouring by (x + y + z) mod 3.
 
 `colour_index`, `compose` and `inverse` read the characters alone.  A
-group's `kind` (its name up to the first colon) keys the hand-written
-closed forms elsewhere, and nothing here.  Each group carries one series
-variable per element, identity first.
+group's `kind` (its name up to the first colon) keys the closed-form
+records in `boxcount.formulas`, and nothing here.  Each group carries one
+series variable per element, identity first.
 """
 
 from __future__ import annotations
@@ -56,8 +56,11 @@ def zn_group(n):
     return Group(f"zn:{n}", tuple(f"q{i}" for i in range(n)), ((n, (1, -1, 0)),))
 
 
+KLEIN_VARS = ("q0", "qa", "qb", "qc")
+
+
 def klein_group():
-    return Group("klein", ("q0", "qa", "qb", "qc"), ((2, (1, 0, 1)), (2, (0, 1, 1))))
+    return Group("klein", KLEIN_VARS, ((2, (1, 0, 1)), (2, (0, 1, 1))))
 
 
 def z3diag_group():

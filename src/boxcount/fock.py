@@ -55,8 +55,8 @@ from operator import mul
 from typing import Callable, NamedTuple
 
 from boxcount import _kernels, young
-from boxcount.colouring import Group, klein_group, parse_group
-from boxcount.pyramid import KLEIN_VARS, SLICE_COLOUR
+from boxcount.colouring import KLEIN_VARS, Group, klein_group, parse_group
+from boxcount.pyramid import SLICE_COLOUR
 from boxcount.series import Monomial, Series, degree_shift, var_key
 
 
@@ -105,15 +105,11 @@ class FockState:
             return NotImplemented
         if other.vars != self.vars or other.trunc != self.trunc:
             raise ValueError("states live in different rings")
+        cap = 2 * self.trunc
+        shift = degree_shift(len(self.vars))
         out = {lam: dict(amp) for lam, amp in self.amps.items()}
         for lam, amp in other.amps.items():
-            dst = out.setdefault(lam, {})
-            for k, c in amp.items():
-                nc = dst.get(k, 0) + c
-                if nc:
-                    dst[k] = nc
-                elif k in dst:
-                    del dst[k]
+            _kernels.scale_accumulate(out.setdefault(lam, {}), amp, 0, 1, cap, shift)
         return FockState(self.vars, self.trunc, {l: a for l, a in out.items() if a})
 
     def __eq__(self, other):
@@ -248,6 +244,8 @@ def _apply_weight_key(state, key_of):
 
 
 def _apply_alpha(state, n):
+    cap = 2 * state.trunc
+    shift = degree_shift(len(state.vars))
     out = {}
     for mu, amp in state.amps.items():
         if not amp:
@@ -258,13 +256,7 @@ def _apply_alpha(state, n):
             moves = young.remove_border_strip(mu, n)
         for lam, height in moves:
             coef = 1 if height % 2 == 1 else -1
-            dst = out.setdefault(lam, {})
-            for k, c in amp.items():
-                nc = dst.get(k, 0) + coef * c
-                if nc:
-                    dst[k] = nc
-                elif k in dst:
-                    del dst[k]
+            _kernels.scale_accumulate(out.setdefault(lam, {}), amp, 0, coef, cap, shift)
     return FockState(state.vars, state.trunc, {l: a for l, a in out.items() if a})
 
 

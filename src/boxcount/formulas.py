@@ -9,36 +9,71 @@ and hands the whole list to boxcount.series.euler_product, which merges
 equal factors and multiplies in the binomial series of (1 - u)**(-e) one
 factor at a time; no series is inverted or raised to a power on the way.
 
-The signed forms on the resolved side read one table of curve classes.
-`dt_resolution` puts each class on the curve variables, and
-`dt_resolution_paired` puts the same class on the colour variables as a
-two-sided row, which is the pairing across the wall.  The enumeration and
-transfer modules compute the same series by entirely different means, and
-the tests compare them exactly.
+Each group kind with a closed form is one `ClosedForm` record: its curve
+classes beta (the colour variables beta covers, and its multiplicity n),
+its sign variables and its curve-variable names.  `closed_form(group)`
+looks the record up, and is the one place that reads a group's kind.  One
+row builder, `_rows`, turns a class list into every table:
+
+* orbifold: M(1, q)**|G| times M~(eps*beta, q)**n per class, with q the
+  regular monomial and eps = -1 exactly when beta covers an odd number of
+  sign variables;
+* resolution: M(1, -q)**|G| times M(v_beta, -q)**n, on (q, v...);
+* paired: the resolution rows on the colour variables, two-sided.
+
+Substituting q -> -q for the sign variables carries each orbifold row to
+its paired row, which is the pairing across the wall.  The pyramid series
+has its own hand-written class list, so that `verify pair` compares two
+independent tables.  The enumeration and transfer modules compute the same
+series by entirely different means, and the tests compare them exactly.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from boxcount.colouring import klein_group, zn_group
-from boxcount.pyramid import KLEIN_VARS
 from boxcount.series import Monomial, euler_product, macmahon_factors
 from boxcount.series import macmahon, macmahon_tilde  # noqa: F401  (re-exported: perfbench/tracer.py probes them here)
+
+
+class ClosedForm(NamedTuple):
+    classes: tuple  # (colour variables a curve class covers, multiplicity) pairs; none covers q0
+    signs: tuple  # colour variables whose sign flip turns box counting into its signed version
+    curves: tuple  # the curve variable standing in for each colour variable after q0
+
+
+KLEIN = ClosedForm(
+    classes=(
+        (("qa", "qb"), 1), (("qa", "qc"), 1), (("qb", "qc"), 1),
+        (("qa",), -1), (("qb",), -1), (("qc",), -1), (("qa", "qb", "qc"), -1),
+    ),
+    signs=("qa", "qb", "qc"),
+    curves=("va", "vb", "vc"),
+)
+# the pyramid piles' classes, on the klein variables and read with the klein signs
+PYRAMID_CLASSES = (
+    (("qa", "qc"), 1), (("qb", "qc"), 1),
+    (("qa",), -1), (("qb",), -1), (("qc",), -1), (("qa", "qb", "qc"), -1),
+)
+
+
+def closed_form(group):
+    """The closed-form record of the group; ValueError for a group without one."""
+    match group.kind:
+        case "zn":
+            n, vars = group.order, group.variables
+            # one class per interval q_a ... q_b of the nontrivial colours
+            classes = tuple((vars[a : b + 1], 1) for a in range(1, n) for b in range(a, n))
+            return ClosedForm(classes, ("q0",), tuple(f"v{i}" for i in range(1, n)))
+        case "klein":
+            return KLEIN
+    raise ValueError(f"no closed form for group {group}")
 
 
 def regular_monomial(group):
     """The product of all colour variables (one full orbit of boxes)."""
     return Monomial.from_exponents(group.variables, {v: 1 for v in group.variables})
-
-
-def euler_number(group):
-    """Topological Euler number of the crepant resolution: the group order."""
-    if group.kind not in ("zn", "klein"):
-        raise ValueError(f"no resolution data for group {group}")
-    return group.order
-
-
-def _interval(vars, a, b):
-    return Monomial.from_exponents(vars, {vars[i]: 1 for i in range(a, b + 1)})
 
 
 def evaluate(rows, trunc):
@@ -51,70 +86,35 @@ def evaluate(rows, trunc):
     return euler_product(rows[0][1].vars, trunc, factors)
 
 
-def _curve_classes(group):
-    """(beta monomial on the colour variables, multiplicity) pairs."""
-    vars = group.variables
-    if group.kind == "zn":
-        return [(_interval(vars, a, b), 1) for a in range(1, group.order) for b in range(a, group.order)]
-    if group.kind == "klein":
-        qa = Monomial.var(vars, "qa")
-        qb = Monomial.var(vars, "qb")
-        qc = Monomial.var(vars, "qc")
-        return [
-            (qa * qb, 1),
-            (qa * qc, 1),
-            (qb * qc, 1),
-            (qa, -1),
-            (qb, -1),
-            (qc, -1),
-            (qa * qb * qc, -1),
-        ]
-    raise ValueError(f"no resolution data for group {group}")
+def _rows(q, classes, two_sided, signs=()):
+    """M(1, q)**|G|, then M(eps*beta, q)**n per class (beta, n), two-sided if
+    asked, with eps = -1 exactly when beta covers an odd number of `signs`.
+
+    There is one variable per group element on either side of the wall, so
+    |G|, the Euler number of the resolution, is the variable count.
+    """
+    vars = q.vars
+    rows = [(Monomial.one(vars), q, len(vars), False)]
+    for cover, mult in classes:
+        sign = -1 if len(set(cover) & set(signs)) % 2 else 1
+        rows.append((Monomial.from_exponents(vars, dict.fromkeys(cover, 1), sign), q, mult, two_sided))
+    return rows
 
 
 def orbifold_rows(group):
     """The rows of the closed form of the group action's box-counting series."""
-    vars = group.variables
-    q = regular_monomial(group)
-    one = Monomial.one(vars)
-    if group.kind == "zn":
-        n = group.order
-        return [(one, q, n, False)] + [
-            (_interval(vars, a, b), q, 1, True) for a in range(1, n) for b in range(a, n)
-        ]
-    if group.kind == "klein":
-        qa = Monomial.var(vars, "qa")
-        qb = Monomial.var(vars, "qb")
-        qc = Monomial.var(vars, "qc")
-        return [
-            (one, q, 4, False),
-            (qa * qb, q, 1, True),
-            (qa * qc, q, 1, True),
-            (qb * qc, q, 1, True),
-            (-qa, q, -1, True),
-            (-qb, q, -1, True),
-            (-qc, q, -1, True),
-            (-(qa * qb * qc), q, -1, True),
-        ]
-    raise ValueError(f"no closed orbifold formula for group {group}")
+    form = closed_form(group)
+    return _rows(regular_monomial(group), form.classes, True, form.signs)
 
 
 def pyramid_rows():
     """The rows of the pyramid series on the variables (q0, qa, qb, qc)."""
-    vars = KLEIN_VARS
-    q = Monomial.from_exponents(vars, {v: 1 for v in vars})
-    qa = Monomial.var(vars, "qa")
-    qb = Monomial.var(vars, "qb")
-    qc = Monomial.var(vars, "qc")
-    return [
-        (Monomial.one(vars), q, 4, False),
-        (qa * qc, q, 1, True),
-        (qb * qc, q, 1, True),
-        (-qa, q, -1, True),
-        (-qb, q, -1, True),
-        (-qc, q, -1, True),
-        (-(qa * qb * qc), q, -1, True),
-    ]
+    return _rows(regular_monomial(klein_group()), PYRAMID_CLASSES, True, KLEIN.signs)
+
+
+def pair_rows():
+    """The pyramid rows times M~(qa qb, q): the klein series, by the pair identity."""
+    return _rows(regular_monomial(klein_group()), PYRAMID_CLASSES + ((("qa", "qb"), 1),), True, KLEIN.signs)
 
 
 def closed_orbifold(group, trunc):
@@ -137,11 +137,7 @@ def closed_pyramid(trunc):
 
 def dt_sign_variables(group):
     """Variables whose sign flip turns box counting into its signed version."""
-    if group.kind == "zn":
-        return ("q0",)
-    if group.kind == "klein":
-        return ("qa", "qb", "qc")
-    raise ValueError(f"no sign convention for group {group}")
+    return closed_form(group).signs
 
 
 def dt_orbifold(group, trunc):
@@ -150,32 +146,24 @@ def dt_orbifold(group, trunc):
 
 
 def resolution_variables(group):
-    if group.kind == "zn":
-        return ("q",) + tuple(f"v{i}" for i in range(1, group.order))
-    if group.kind == "klein":
-        return ("q", "va", "vb", "vc")
-    raise ValueError(f"no resolution data for group {group}")
+    return ("q",) + closed_form(group).curves
 
 
 def resolution_rows(group, paired=False):
-    """M(1, -q)**e, with e the Euler number, then one row M(beta, -q)**n for
-    each curve class beta of multiplicity n.
+    """M(1, -q)**|G|, then M(beta, -q)**n per curve class beta.
 
     Unpaired, the rows live on the resolution variables (q, v...): q is the
     box variable, and each class moves from the i-th colour variable to the
-    i-th curve variable (no class involves q0, whose place q takes).  Paired,
-    the same rows stay on the colour variables, q is the regular monomial,
-    and each curve row is two-sided.
+    i-th curve variable (no class covers q0, whose place q takes).  Paired,
+    they stay on the colour variables, q is the regular monomial, and each
+    curve row is two-sided.
     """
+    form = closed_form(group)
     if paired:
-        vars, q = group.variables, regular_monomial(group)
-    else:
-        vars = resolution_variables(group)
-        q = Monomial.var(vars, "q")
-    rows = [(Monomial.one(vars), -q, euler_number(group), False)]
-    for beta, mult in _curve_classes(group):
-        rows.append((Monomial(vars, beta.halves, beta.sign), -q, mult, paired))
-    return rows
+        return _rows(-regular_monomial(group), form.classes, True)
+    curve = dict(zip(group.variables[1:], form.curves))
+    classes = [(tuple(curve[v] for v in cover), mult) for cover, mult in form.classes]
+    return _rows(-Monomial.var(("q",) + form.curves, "q"), classes, False)
 
 
 def dt_resolution(group, trunc):

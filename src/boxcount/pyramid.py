@@ -18,6 +18,7 @@ slice index mod 4.
 from __future__ import annotations
 
 from boxcount import ideals, young
+from boxcount.colouring import KLEIN_VARS
 from boxcount.series import Series, var_key
 
 V1 = (-1, 1, 0)
@@ -27,8 +28,6 @@ W2 = (0, 1, 1)
 
 # slice index mod 4 -> index into the (q0, qa, qb, qc) variables
 SLICE_COLOUR = (0, 2, 3, 1)
-
-KLEIN_VARS = ("q0", "qa", "qb", "qc")
 
 
 def is_brick(b):

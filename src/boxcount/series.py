@@ -386,15 +386,9 @@ class Series:
         trunc = min(self.trunc, rhs.trunc)
         cap = 2 * trunc
         shift = self._shift
-        out = {k: c for k, c in self._terms.items() if (k >> shift) <= cap}
-        for k, c in rhs._terms.items():
-            if (k >> shift) > cap:
-                continue
-            nc = out.get(k, 0) + c
-            if nc:
-                out[k] = nc
-            elif k in out:
-                del out[k]
+        out = {}
+        _kernels.scale_accumulate(out, self._terms, 0, 1, cap, shift)
+        _kernels.scale_accumulate(out, rhs._terms, 0, 1, cap, shift)
         return Series(self.vars, trunc, out, _trusted=True)
 
     __radd__ = __add__
@@ -483,14 +477,9 @@ class Series:
                 if not prev:
                     continue
                 prod = _kernels.mul_terms(a_buckets[j], prev, cap, shift)
-                for k, c in prod.items():
-                    nc = acc.get(k, 0) + c
-                    if nc:
-                        acc[k] = nc
-                    elif k in acc:
-                        del acc[k]
+                _kernels.scale_accumulate(acc, prod, 0, -c0, cap, shift)
             if acc:
-                b_buckets[d] = {k: -c0 * c for k, c in acc.items()}
+                b_buckets[d] = acc
         out = {}
         for bucket in b_buckets.values():
             out.update(bucket)

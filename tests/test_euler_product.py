@@ -26,7 +26,7 @@ def naive_product(vars, trunc, factors):
 
 TABLES = (
     [(f"zn:{n}", lambda n=n: formulas.orbifold_rows(zn_group(n))) for n in range(1, 8)]
-    + [("klein", lambda: formulas.orbifold_rows(klein_group())), ("pyramid", formulas.pyramid_rows)]
+    + [("klein", lambda: formulas.orbifold_rows(klein_group())), ("pyramid", formulas.pyramid_rows), ("pair", formulas.pair_rows)]
     + [
         (f"{name} {side}", lambda g=g, paired=paired: formulas.resolution_rows(g, paired))
         for name, g in (("zn:2", zn_group(2)), ("zn:3", zn_group(3)), ("klein", klein_group()))

@@ -13,8 +13,9 @@ def test_zn1_is_the_classical_product():
 
 
 def test_closed_forms_match_enumeration():
-    assert formulas.closed_zn(2, 7) == coloured_series(zn_group(2), 7)
-    assert formulas.closed_zn(3, 7) == coloured_series(zn_group(3), 7)
+    # every class table, checked through its orbifold rows
+    for n in range(1, 8):
+        assert formulas.closed_zn(n, 7) == coloured_series(zn_group(n), 7), n
     assert formulas.closed_klein(7) == coloured_series(klein_group(), 7)
     assert formulas.closed_pyramid(7) == pyramid_series(7)
 
@@ -22,6 +23,9 @@ def test_closed_forms_match_enumeration():
 def test_closed_orbifold_dispatch():
     assert formulas.closed_orbifold(zn_group(3), 5) == formulas.closed_zn(3, 5)
     assert formulas.closed_orbifold(klein_group(), 5) == formulas.closed_klein(5)
+    for lookup in (formulas.closed_form, formulas.dt_sign_variables, formulas.resolution_variables):
+        with pytest.raises(ValueError):
+            lookup(z3diag_group())
     with pytest.raises(ValueError):
         formulas.closed_orbifold(z3diag_group(), 5)
 
@@ -35,21 +39,29 @@ def test_pair_identity():
         N,
     )
     assert formulas.closed_klein(N) == factor * formulas.closed_pyramid(N)
+    assert formulas.closed_klein(N) == formulas.evaluate(formulas.pair_rows(), N)
 
 
 def test_euler_numbers():
-    assert formulas.euler_number(zn_group(4)) == 4
-    assert formulas.euler_number(klein_group()) == 4
+    # the prefactor M(1, q)**|G| on every side of the wall
+    for g in (zn_group(4), klein_group()):
+        for rows in (formulas.orbifold_rows(g), formulas.resolution_rows(g), formulas.resolution_rows(g, True)):
+            assert rows[0][0].degree_halves == 0 and rows[0][2] == 4
+    assert formulas.pyramid_rows()[0][2] == 4
 
 
 def test_curve_classes():
-    zn = dict((m.packed(), c) for m, c in formulas._curve_classes(zn_group(3)))
-    assert len(zn) == 3 and set(zn.values()) == {1}
-    klein = formulas._curve_classes(klein_group())
+    zn = formulas.closed_form(zn_group(3)).classes
+    assert sorted(zn) == [(("q1",), 1), (("q1", "q2"), 1), (("q2",), 1)]
+    klein = formulas.closed_form(klein_group()).classes
     assert sorted(c for _, c in klein) == [-1, -1, -1, -1, 1, 1, 1]
+    assert len(set(cover for cover, _ in klein)) == 7
+    assert sorted(c for _, c in formulas.PYRAMID_CLASSES) == [-1, -1, -1, -1, 1, 1]
     # the resolution side puts its box variable q in q0's place
-    for g in (zn_group(2), zn_group(5), klein_group()):
-        assert all(beta.halves[0] == 0 for beta, _ in formulas._curve_classes(g))
+    for g in [zn_group(n) for n in range(1, 8)] + [klein_group()]:
+        form = formulas.closed_form(g)
+        assert len(form.curves) == g.order - 1
+        assert all("q0" not in cover and set(cover) <= set(g.variables) for cover, _ in form.classes)
 
 
 def test_dt_orbifold_is_sign_substitution():
@@ -64,8 +76,8 @@ def test_dt_resolution_variables():
 
 
 def test_dt_pairing():
-    for g in (zn_group(2), zn_group(3), klein_group()):
-        assert formulas.dt_pairing_holds(g, 16)
+    for g in [zn_group(n) for n in range(1, 8)] + [klein_group()]:
+        assert formulas.dt_pairing_holds(g, 16), g
 
 
 def test_dt_resolution_leading_terms():

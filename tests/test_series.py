@@ -232,7 +232,8 @@ def test_writers_refuse_half_integer_exponents():
     assert [h for h, _ in s.items()] == [(0, 0), (1, 2)]
 
 
-# sha256 of the CLI's stdout, recorded before the one-pass writers replaced json.dumps
+# sha256 of the CLI's stdout, recorded before the one-pass writers replaced json.dumps; the
+# zn:5, pyramid and dt resolution/zn:4 digests before the closed forms became class records
 CLI_DIGESTS = {
     ("formula klein -N 12", "json"): "31b6076f992069895df0316171366361e83b7f83c4c4174d81c25dea0b6ec495",
     ("formula klein -N 12", "csv"): "f7cb22c284b707a2d4756da7872aa84db6c3b9e878898698f34a1bf738174a6f",
@@ -242,6 +243,16 @@ CLI_DIGESTS = {
     ("enum zn:3 -N 8", "csv"): "a8e3f292e179df4b39d663070691e9294cbab9c847636d497a34a76894446688",
     ("transfer pyramid -N 8", "json"): "b5546a88cb393400c7b8922e09889c589f09e695efe17d6dcd02f18af236893a",
     ("transfer pyramid -N 8", "csv"): "c56ce620b33fdfd00e0ec7f8a7d148242402fa243835c871165c3da77ff357b6",
+    ("formula zn:5 -N 12", "json"): "91b379e6b98cfedc45ee0d09b2acc26a8109366757bc128b20fca6d964c16d6c",
+    ("formula zn:5 -N 12", "csv"): "fea735c8916e74842e86a3b84b94fa6f2424506c638fa7c81715f5e383454ae3",
+    ("formula pyramid -N 12", "json"): "8c5fdb1dbe38be2e77009e9a6524d8850b0b861ad8c57b693418335ff00d4519",
+    ("formula pyramid -N 12", "csv"): "dd11d4e883895454ba0003b96425668667f8809b43c2a09426abe551e548eb59",
+    ("dt zn:3 -N 12 --side resolution", "json"): "15bfdd3a70b3db899b820c11e5529a55f5d9070e78901152e64ba305a3bf7cc6",
+    ("dt zn:3 -N 12 --side resolution", "csv"): "837d39b0b92cd7ff782037d9b08bcafdd119ce9499cde4f1ad8569f711d73f93",
+    ("dt klein -N 12 --side resolution", "json"): "442845897f69af60449551db9d9384cf1c8fc1f0b7d0a09b67d16a1a21c56299",
+    ("dt klein -N 12 --side resolution", "csv"): "09cada696072cfbee09d7e2c7b8528d865de5637a28f79e187a89555f263a6b5",
+    ("dt zn:4 -N 12 --side paired", "json"): "b59e3a13e0b559a6a8d9656ca6461dbd283e82ede15675dbfa49de7ffb63647b",
+    ("dt zn:4 -N 12 --side paired", "csv"): "6af13eb04d414a233e179dd5b90b2c5805ec73551b0ebb2337682eb258ef7559",
 }
 
 
