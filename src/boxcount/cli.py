@@ -134,13 +134,19 @@ def _report(name_a, a, name_b, b):
 
 
 def _int_in(what, lo, hi=None):
-    """argparse type for an integer `what` in [lo, hi] (unbounded above when hi is None)."""
+    """argparse type for an integer `what` in [lo, hi] (unbounded above when hi is None).
+
+    Only the integer as Python prints it is accepted: int() alone would also
+    read '+3', ' 3', '1_0', '03' and non-ASCII digits.
+    """
 
     def parse(text):
         try:
             n = int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"{what} must be an integer, got {text!r}") from None
+            n = None
+        if n is None or str(n) != text:
+            raise argparse.ArgumentTypeError(f"{what} must be a plain decimal integer, got {text!r}")
         if n < lo or (hi is not None and n > hi):
             bound = f"in [{lo}, {hi}]" if hi is not None else f">= {lo}"
             raise argparse.ArgumentTypeError(f"{what} must be {bound}, got {n}")

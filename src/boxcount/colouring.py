@@ -16,35 +16,41 @@ significant.  Three actions are supported:
 group's `kind` (its name up to the first colon) keys the closed-form
 records in `boxcount.formulas`, and nothing here.  Each group carries one
 series variable per element, identity first.
+
+`Group` is a plain immutable record, a NamedTuple of (name, variables,
+characters) like the other records of the package, so that importing it
+costs no more than a tuple class; `order`, `kind` and `digits` are read off
+those three fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from boxcount.series import MAX_VARS
 
 
-@dataclass(frozen=True)
-class Group:
+class Group(NamedTuple):
     name: str
     variables: tuple
     characters: tuple
-    # (n, a, b, c, place value) per character, built once for colour_index
-    digits: tuple = field(init=False, repr=False, compare=False)
-    order: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        digits, place = [], 1
-        for n, (a, b, c) in self.characters:
-            digits.append((n, a, b, c, place))
-            place *= n
-        object.__setattr__(self, "digits", tuple(digits))
-        object.__setattr__(self, "order", len(self.variables))
+    @property
+    def order(self):
+        return len(self.variables)
 
     @property
     def kind(self):
         return self.name.partition(":")[0]
+
+    @property
+    def digits(self):
+        """(n, a, b, c, place value) per character: the mixed-radix digits of an element index."""
+        digits, place = [], 1
+        for n, (a, b, c) in self.characters:
+            digits.append((n, a, b, c, place))
+            place *= n
+        return tuple(digits)
 
     def __str__(self):
         return self.name
@@ -57,6 +63,8 @@ def zn_group(n):
 
 
 KLEIN_VARS = ("q0", "qa", "qb", "qc")
+# pyramid brick colours: diagonal slice index mod 4 -> index into KLEIN_VARS
+SLICE_COLOUR = (0, 2, 3, 1)
 
 
 def klein_group():
@@ -68,7 +76,7 @@ def z3diag_group():
 
 
 def parse_group(text):
-    """Parse a group name: 'zn:<order>', 'klein', or 'z3diag'."""
+    """Parse a group name: 'zn:<order>', 'klein', or 'z3diag', each only as the group prints it."""
     if text == "klein":
         return klein_group()
     if text == "z3diag":
@@ -79,24 +87,35 @@ def parse_group(text):
         except ValueError:
             pass
         else:
-            return zn_group(order)
+            # int() also reads '+3', ' 3', '1_0', '03' and non-ASCII digits
+            if text == f"zn:{order}":
+                return zn_group(order)
     raise ValueError(f"unknown group {text!r} (expected zn:<order>, klein, or z3diag)")
 
 
 def colour_index(group, x, y, z):
     """Element index of the weight of a box at (x, y, z)."""
-    index = 0
-    for n, a, b, c, place in group.digits:
+    index, place = 0, 1
+    for n, (a, b, c) in group.characters:
         index += (a * x + b * y + c * z) % n * place
+        place *= n
     return index
 
 
 def compose(group, i, j):
-    return sum((i // place + j // place) % n * place for n, _, _, _, place in group.digits)
+    out, place = 0, 1
+    for n, _ in group.characters:
+        out += (i // place + j // place) % n * place
+        place *= n
+    return out
 
 
 def inverse(group, i):
-    return sum(-(i // place) % n * place for n, _, _, _, place in group.digits)
+    out, place = 0, 1
+    for n, _ in group.characters:
+        out += -(i // place) % n * place
+        place *= n
+    return out
 
 
 def laurent_restriction(group, e1, e2):

@@ -55,8 +55,7 @@ from operator import mul
 from typing import Callable, NamedTuple
 
 from boxcount import _kernels, young
-from boxcount.colouring import KLEIN_VARS, Group, klein_group, parse_group
-from boxcount.pyramid import SLICE_COLOUR
+from boxcount.colouring import KLEIN_VARS, SLICE_COLOUR, Group, klein_group, parse_group
 from boxcount.series import Monomial, Series, degree_shift, var_key
 
 
@@ -327,11 +326,12 @@ class Machine(NamedTuple):
 
 def group_machine(group):
     """The box-pile slice table of a group, coloured by its characters."""
-    period = lcm(*(n for n, _, _, c, _ in group.digits if c % n))
+    digits = group.digits
+    period = lcm(*(n for n, _, _, c, _ in digits if c % n))
 
     def slices(s):
         colours = [
-            sum((c * t + (a * s if s >= 0 else -b * s)) % n * place for n, a, b, c, place in group.digits)
+            sum((c * t + (a * s if s >= 0 else -b * s)) % n * place for n, a, b, c, place in digits)
             for t in range(period)
         ]
         return weight_op(*colours), False

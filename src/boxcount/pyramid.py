@@ -18,16 +18,13 @@ slice index mod 4.
 from __future__ import annotations
 
 from boxcount import ideals, young
-from boxcount.colouring import KLEIN_VARS
+from boxcount.colouring import KLEIN_VARS, SLICE_COLOUR
 from boxcount.series import Series, var_key
 
 V1 = (-1, 1, 0)
 V2 = (1, 1, 0)
 W1 = (0, 1, -1)
 W2 = (0, 1, 1)
-
-# slice index mod 4 -> index into the (q0, qa, qb, qc) variables
-SLICE_COLOUR = (0, 2, 3, 1)
 
 
 def is_brick(b):

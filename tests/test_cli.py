@@ -89,6 +89,22 @@ def test_usage_errors_exit_2(capsys):
                  ["formula", "zn:abc", "-N", "3"],
                  ["formula", "zn:8", "-N", "3"],
                  ["enum", "zn:8", "-N", "3"],
+                 # names and integers that int() reads but that are not written as printed
+                 ["formula", "zn:+2", "-N", "3"],
+                 ["formula", "zn:02", "-N", "3"],
+                 ["enum", "zn: 2", "-N", "3"],
+                 ["verify", "zn:\u0663", "-N", "3"],
+                 ["verify", "transfer:zn:1_0", "-N", "3"],
+                 ["verify", "sign:zn:03", "-N", "3"],
+                 ["formula", "zn:2", "-N", "1_0"],
+                 ["formula", "zn:2", "-N", "+3"],
+                 ["formula", "zn:2", "-N", " 3"],
+                 ["formula", "zn:2", "-N", "03"],
+                 ["formula", "zn:2", "-N", "\u0663"],
+                 ["enum", "klein", "-N", "3", "--threads", "+2"],
+                 ["enum", "klein", "-N", "3", "--threads", "0_2"],
+                 ["verify-ops", "--basis", "\uff12"],
+                 ["transfer", "z2z2", "-N", "3", "--max-terms", "1_0"],
                  # enumeration deeper than MAX_ENUM_TRUNC, rejected before any work; one
                  # past the cap, so that a lost check fails in seconds rather than hangs
                  ["enum", "klein", "-N", str(cli.MAX_ENUM_TRUNC + 1)],
@@ -239,11 +255,45 @@ def test_verify_sign_enumerates_once(capsys, monkeypatch):
     assert calls == [6]
 
 
-def test_enumeration_loads_no_closed_form_or_transfer_module():
+# the boxcount modules each series subcommand loads, beyond boxcount, _kernels, cli, colouring and series
+SUBCOMMAND_MODULES = {
+    "enum klein": {"enum3d", "ideals", "young"},
+    "pyramid": {"pyramid", "ideals", "young"},
+    "formula klein": {"formulas"},
+    "formula pyramid": {"formulas"},
+    "transfer z2z2": {"fock", "young"},
+    "transfer pyramid": {"fock", "young"},
+    "sign zn:3": {"dtsign", "enum3d", "ideals", "young"},
+    "dt klein": {"formulas"},
+}
+
+
+def loaded_modules(*args, code):
+    """sys.modules after `code` ran in a fresh interpreter, one name a line."""
     src = str(Path(boxcount.__file__).resolve().parent.parent)
-    probe = "import sys; from boxcount import cli; cli.main(['enum', 'klein', '-N', '3']); print(sorted(sys.modules))"
-    proc = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+    probe = f"import sys\n{code}\nprint(*sorted(sys.modules), sep='\\n', file=sys.stderr)"
+    proc = subprocess.run([sys.executable, *args, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=20)
-    loaded = proc.stdout.splitlines()[-1]
-    assert "boxcount.enum3d" in loaded
-    assert "boxcount.fock" not in loaded and "boxcount.formulas" not in loaded
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stderr.splitlines())
+
+
+def test_enumeration_loads_no_closed_form_or_transfer_module():
+    # every series subcommand, not only enumeration, loads just the modules its route runs
+    for command, own in SUBCOMMAND_MODULES.items():
+        argv = [*command.split(), "-N", "3"]
+        loaded = loaded_modules(code=f"from boxcount import cli; cli.main({argv!r})")
+        expected = {"boxcount", *(f"boxcount.{m}" for m in ("_kernels", "cli", "colouring", "series", *own))}
+        assert {m for m in loaded if m.split(".")[0] == "boxcount"} == expected, command
+
+
+def test_startup_imports_no_dataclasses_or_inspect():
+    # without site, what is left is what boxcount itself imports; the
+    # benchmark's setup command imports these modules in every pass
+    loaded = loaded_modules(
+        "-S",
+        code="import boxcount.cli, boxcount.enum3d, boxcount.pyramid, boxcount.dtsign, boxcount.fock, boxcount.formulas\n"
+             "boxcount.cli.main(['sign', 'zn:3', '-N', '4', '--format', 'json'])",
+    )
+    assert {"argparse", "json", "boxcount.fock", "boxcount.formulas"} <= loaded
+    assert sorted(loaded & {"dataclasses", "inspect"}) == []

@@ -19,6 +19,24 @@ def test_parse_round_trip():
         colouring.parse_group("zn:0")
     with pytest.raises(ValueError):
         colouring.parse_group("dihedral")
+    # a name is accepted only as the group prints it, which int() alone does not ensure
+    for text in ("zn:+3", "zn: 3", "zn:3 ", "zn:03", "zn:1_0", "zn:\u0663", "zn:\uff13", "zn:", "Klein", " klein"):
+        with pytest.raises(ValueError):
+            colouring.parse_group(text)
+
+
+def test_group_is_a_plain_record():
+    g = colouring.parse_group("zn:3")
+    assert g == colouring.zn_group(3) and hash(g) == hash(colouring.zn_group(3))
+    assert g != colouring.zn_group(4) and g != colouring.z3diag_group()
+    assert {g: "cyclic"}[colouring.zn_group(3)] == "cyclic"
+    assert str(g) == g.name == "zn:3" and g.kind == "zn"
+    for name in ("name", "order", "digits", "colour"):
+        with pytest.raises(AttributeError):
+            setattr(g, name, None)
+    klein = colouring.klein_group()
+    assert klein.digits == ((2, 1, 0, 1, 1), (2, 0, 1, 1, 2))
+    assert (klein.order, klein.kind, str(klein)) == (4, "klein", "klein")
 
 
 def test_variable_counts():
