@@ -5,6 +5,14 @@ precision integer coefficient.  `boxcount.series` lays the keys out: the
 total half-degree sits above bit `shift`, which every kernel takes as an
 argument, so a degree test is a shift and a compare, and multiplying
 monomials is integer addition of keys.
+
+Each lane of a key is at most the key's half-degree, so the sum of two
+keys whose half-degrees add up to at most cap <= 126 has every lane at
+most 126 < 256: no lane carries, and the sum is below (cap + 1) << shift.
+A sum whose half-degrees add up to more than `cap` is at least that
+total shifted into the top lane, so at least (cap + 1) << shift.  Hence
+`scale_accumulate` drops a term with the one comparison
+k >= ((cap + 1) << shift) - key_add, its limit formed once per call.
 """
 
 # which implementation of the kernels is loaded; benchmark runs record it
@@ -37,10 +45,10 @@ def mul_terms(a, b, cap, shift):
 
 def scale_accumulate(dst, src, key_add, coef, cap, shift):
     """dst += coef * x^key_add * src, in place, skipping terms above `cap`."""
-    dadd = key_add >> shift
+    lim = ((cap + 1) << shift) - key_add
     get = dst.get
     for k, v in src.items():
-        if (k >> shift) + dadd > cap:
+        if k >= lim:
             continue
         kk = k + key_add
         nv = get(kk, 0) + coef * v

@@ -17,7 +17,14 @@ by the layout; it is the colour count of zn:7, the largest group built.
 Every infinite product in the package is evaluated by one function,
 `euler_product(vars, trunc, factors)`: the product of (1 - u)**(-e) over a
 list of (signed monomial u of positive degree, integer e) pairs, built by
-multiplying in the binomial series of one merged factor at a time.
+multiplying in one merged factor at a time.  Each factor goes in by the
+cheaper of two exact expansions: its binomial series, whose coefficients
+C(e+k-1, k) are integers, or, for e > 0, e divisions by (1 - u), each an
+upward pass f[D + deg u] += u * f[D] over the parts by half-degree, which
+is exact because every part already holds its quotient when it is read.
+"Cheaper" counts the terms each feeds the kernel, from the present part
+sizes: the series reads part D (cap - D) // deg u times, and e divisions
+read every part up to cap - deg u about e times (`_divisions_read_fewer`).
 The MacMahon products `macmahon` and `macmahon_tilde` only build their
 factor lists and call it.  They, `Series.inverse` and `Series.__pow__`
 remain only for the tests and the perfbench harness's probes.
@@ -545,16 +552,38 @@ class Series:
 # -- product formulas ------------------------------------------------------
 
 
+def _divisions_read_fewer(parts, d, e, cap):
+    """Whether e divisions by (1 - u), u of half-degree d, feed the kernel
+    fewer terms than the binomial series of (1 - u)**(-e) does.
+
+    The series reads part D once for each power u**k with D + k*d <= cap,
+    that is (cap - D) // d times.  Each division reads every part up to
+    cap - d once, so e divisions read e times the present size of those
+    parts when multiplying by u brings in no new monomial, and more when it
+    does.  That estimate is never below the series' count when
+    e >= cap // d, and a polynomial factor (e < 0) is never divided.
+    """
+    if not 0 < e < cap // d:
+        return False
+    sizes = [len(parts[D]) for D in range(cap - d + 1)]
+    return e * sum(sizes) < sum(n * ((cap - D) // d) for D, n in enumerate(sizes))
+
+
 def euler_product(vars, trunc, factors):
     """The product of (1 - u)**(-e) over the (u, e) pairs in `factors`.
 
     Each u is a signed monomial of positive degree on `vars` and each e an
     integer of either sign.  Equal signed u are merged by summing their e.
     The product is kept as its parts by half-degree and multiplied in place
-    by one factor at a time, highest degree first, as the binomial series
-    sum over k of C(e+k-1, k) * u**k (for e < 0, the polynomial
-    (1 - u)**|e|).  The parts are walked from the top down, so each is read
-    before a lower part adds into it.
+    by one factor at a time, highest degree first, in whichever of two exact
+    expansions `_divisions_read_fewer` picks:
+
+    * the binomial series sum over k of C(e+k-1, k) * u**k, up to the cap
+      (for e < 0, the polynomial (1 - u)**|e|).  The parts are walked from
+      the top down, so each is read before a lower part adds into it;
+    * for e > 0, e divisions by (1 - u).  g = f / (1 - u) solves
+      g = f + u*g, so one upward pass parts[D + d] += u * parts[D] divides
+      exactly: each part already holds its quotient when it is read.
     """
     _check_vars(vars)
     if not isinstance(trunc, int) or not 0 <= trunc <= MAX_TRUNC:
@@ -570,8 +599,15 @@ def euler_product(vars, trunc, factors):
         key = (u.degree_halves, u.packed(), u.sign)
         merged[key] = merged.get(key, 0) + e
     parts = [{0: 1}] + [{} for _ in range(cap)]  # parts[D] is the half-degree-D part
-    top = 0  # highest occupied half-degree
     for (d, key, sign), e in sorted(merged.items(), reverse=True):
+        if not e or d > cap:
+            continue  # the factor is 1
+        if _divisions_read_fewer(parts, d, e, cap):
+            for _ in range(e):
+                for D in range(cap - d + 1):
+                    if parts[D]:
+                        _kernels.scale_accumulate(parts[D + d], parts[D], key, sign, cap, shift)
+            continue
         steps = []  # (half-degree, packed monomial, coefficient) of each term b_k u**k, k >= 1
         b = 1
         for k in range(1, cap // d + 1):
@@ -579,9 +615,7 @@ def euler_product(vars, trunc, factors):
             if not b:
                 break
             steps.append((k * d, k * key, -b if sign < 0 and k % 2 else b))
-        if not steps:
-            continue  # e summed to 0, or u lies above the cap: the factor is 1
-        for D in range(top, -1, -1):
+        for D in range(cap - d, -1, -1):
             src = parts[D]
             if not src:
                 continue
@@ -589,7 +623,6 @@ def euler_product(vars, trunc, factors):
                 if D + dk > cap:
                     break
                 _kernels.scale_accumulate(parts[D + dk], src, kkey, coef, cap, shift)
-        top = min(cap, top + steps[-1][0])
     for part in parts[1:]:
         parts[0].update(part)
     return Series(vars, trunc, parts[0], _trusted=True)

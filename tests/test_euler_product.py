@@ -1,15 +1,15 @@
 """series.euler_product against a naive product of (1 - u)**(-e) factors.
 
 The reference multiplies one series per factor, raised to -e through
-Series.inverse() and Series.__pow__.  It neither merges equal factors nor
-forms a binomial coefficient, so it shares no code with the in-place
-binomial products under test.
+Series.inverse() and Series.__pow__.  It neither merges equal factors,
+forms a binomial coefficient nor divides in place, so it shares no code
+with the two in-place expansions under test.
 """
 
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from boxcount import formulas
@@ -57,8 +57,23 @@ def factor_lists(draw):
     return vars, trunc, [(Monomial(vars, h, sign), e) for (h, sign), e in raw]
 
 
+XY = ("x", "y")
+
+
+# single factors on each side of the choice between divisions and the binomial series
 @given(factor_lists())
 @settings(max_examples=100, deadline=None)
+# small e, low-degree u: e divisions by (1 - u); u**8 lands on the cap
+@example((XY, 8, [(Monomial(XY, (2, 0)), 2)]))
+# e >= cap // deg u: the binomial series
+@example((XY, 8, [(Monomial(XY, (2, 0)), 8)]))
+@example((XY, 8, [(Monomial(XY, (1, 2)), 30)]))
+# a signed half-unit u, divided and expanded
+@example((XY, 8, [(Monomial(XY, (1, 0), -1), 3)]))
+@example((XY, 8, [(Monomial(XY, (0, 1), -1), 17)]))
+# e < 0: the polynomial (1 - u)**3, whose u**3 lands on the cap
+@example((XY, 3, [(Monomial(XY, (1, 1)), -3)]))
+@example((XY, 3, [(Monomial(XY, (2, 0), -1), -3)]))
 def test_random_factors_match_naive_product(case):
     vars, trunc, factors = case
     assert euler_product(vars, trunc, factors) == naive_product(vars, trunc, factors)

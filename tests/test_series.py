@@ -253,6 +253,11 @@ CLI_DIGESTS = {
     ("dt klein -N 12 --side resolution", "csv"): "09cada696072cfbee09d7e2c7b8528d865de5637a28f79e187a89555f263a6b5",
     ("dt zn:4 -N 12 --side paired", "json"): "b59e3a13e0b559a6a8d9656ca6461dbd283e82ede15675dbfa49de7ffb63647b",
     ("dt zn:4 -N 12 --side paired", "csv"): "6af13eb04d414a233e179dd5b90b2c5805ec73551b0ebb2337682eb258ef7559",
+    # the closed-form operations of the perfbench `closed` workload, at its depth
+    ("formula klein -N 30", "json"): "9c0db301174df5e24597e0186d4daaf623805450e0d9d1e6ca0640a0c11cd567",
+    ("formula pyramid -N 30", "json"): "50e4800c23eae8230f8587fda7e3ef905848a84b88bde886f9e6615ee3074217",
+    ("dt klein -N 28 --side resolution", "json"): "4faf40d797dd37fa1c00e45310689162df15866812f6fefbed2b0f5c8a6ca304",
+    ("dt klein -N 28 --side paired", "json"): "5276e2c600c004d68e746921cfc5cdf9b810797101c8610bb092f51777c611d3",
 }
 
 
