@@ -15,7 +15,7 @@ total shifted into the top lane, so at least (cap + 1) << shift.  Hence
 k >= ((cap + 1) << shift) - key_add, its limit formed once per call.
 """
 
-# which implementation of the kernels is loaded; benchmark runs record it
+# a constant that benchmark runs record with their results
 BACKEND = "python"
 
 

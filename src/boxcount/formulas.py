@@ -5,15 +5,8 @@ written here as data: a list of rows (x, q, p, two_sided), each standing
 for M(x, q)**p, or for the two-sided M~(x, q)**p when two_sided is set
 (boxcount.series.macmahon and macmahon_tilde).  A negative power p is a
 denominator.  `evaluate` expands every row into its factor pairs (u, m*p)
-and hands the whole list to boxcount.series.euler_product, which merges
-equal factors and multiplies in (1 - u)**(-e) one factor at a time, by
-whichever of two exact expansions feeds the kernel fewer terms: the
-binomial series, whose coefficients C(e+k-1, k) are integers, or, for
-e > 0, e divisions by (1 - u), each one upward pass f[D + deg u] += u*f[D]
-over the parts by half-degree, exact because every part holds its
-quotient when it is read.  The divisions are taken when e times the size
-of the parts is below the binomial series' count of terms read; no series
-is inverted or raised to a power on the way.
+and hands the whole list to boxcount.series.euler_product, which describes
+how the product is expanded.
 
 Each group kind with a closed form is one `ClosedForm` record: its curve
 classes beta (the colour variables beta covers, and its multiplicity n),

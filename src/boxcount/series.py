@@ -17,22 +17,21 @@ by the layout; it is the colour count of zn:7, the largest group built.
 Every infinite product in the package is evaluated by one function,
 `euler_product(vars, trunc, factors)`: the product of (1 - u)**(-e) over a
 list of (signed monomial u of positive degree, integer e) pairs, built by
-multiplying in one merged factor at a time.  Each factor goes in by the
-cheaper of two exact expansions: its binomial series, whose coefficients
-C(e+k-1, k) are integers, or, for e > 0, e divisions by (1 - u), each an
-upward pass f[D + deg u] += u * f[D] over the parts by half-degree, which
-is exact because every part already holds its quotient when it is read.
-"Cheaper" counts the terms each feeds the kernel, from the present part
-sizes: the series reads part D (cap - D) // deg u times, and e divisions
-read every part up to cap - deg u about e times (`_divisions_read_fewer`).
+changing its parts by half-degree in place, one merged factor at a time.
+Each factor is one pass (`_pass`) over the terms of (1 - u)**|e| cut at
+the cap: walked from the top down it multiplies by that polynomial (e < 0),
+walked upward it divides by it (e > 0), exactly, since every part already
+holds its quotient when it is read.  `Series.inverse` is the same upward pass.
 The MacMahon products `macmahon` and `macmahon_tilde` only build their
-factor lists and call it.  They, `Series.inverse` and `Series.__pow__`
-remain only for the tests and the perfbench harness's probes.
+factor lists and call `euler_product`.  They, `Series.inverse` and
+`Series.__pow__` remain only for the tests and the perfbench harness's
+probes.
 """
 
 from __future__ import annotations
 
 import json
+from math import comb
 
 from boxcount import _kernels
 
@@ -463,34 +462,23 @@ class Series:
         return result
 
     def inverse(self):
-        """Multiplicative inverse; the constant term must be +1 or -1."""
+        """Multiplicative inverse; the constant term must be +1 or -1.
+
+        With s = c0 + a, g = 1/s solves g = c0 - c0*a*g, one upward `_pass`
+        from the constant c0 over the terms of a.
+        """
         c0 = self._terms.get(0, 0)
         if c0 not in (1, -1):
             raise ValueError("inverse requires constant term +1 or -1")
         shift = self._shift
         cap = 2 * self.trunc
-        a_buckets = {}
-        for k, c in self._terms.items():
-            d = k >> shift
-            if d:
-                a_buckets.setdefault(d, {})[k] = c
-        b_buckets = {0: {0: c0}}
-        for d in range(1, cap + 1):
-            acc = {}
-            for j in a_buckets:
-                if j > d:
-                    continue
-                prev = b_buckets.get(d - j)
-                if not prev:
-                    continue
-                prod = _kernels.mul_terms(a_buckets[j], prev, cap, shift)
-                _kernels.scale_accumulate(acc, prod, 0, -c0, cap, shift)
-            if acc:
-                b_buckets[d] = acc
-        out = {}
-        for bucket in b_buckets.values():
-            out.update(bucket)
-        return Series(self.vars, self.trunc, out, _trusted=True)
+        parts = [{0: c0}] + [{} for _ in range(cap)]
+        steps = sorted((k >> shift, k, -c0 * c) for k, c in self._terms.items() if k)
+        if steps:
+            _pass(parts, steps, True, cap, shift)
+        for part in parts[1:]:
+            parts[0].update(part)
+        return Series(self.vars, self.trunc, parts[0], _trusted=True)
 
     def substitute_signs(self, names):
         """Substitute q -> -q for each variable named in `names`."""
@@ -552,21 +540,26 @@ class Series:
 # -- product formulas ------------------------------------------------------
 
 
-def _divisions_read_fewer(parts, d, e, cap):
-    """Whether e divisions by (1 - u), u of half-degree d, feed the kernel
-    fewer terms than the binomial series of (1 - u)**(-e) does.
+def _pass(parts, steps, divide, cap, shift):
+    """Multiply the parts by 1 + S, or divide them by 1 - S if `divide`, in
+    place, where S is the sum of `steps`.
 
-    The series reads part D once for each power u**k with D + k*d <= cap,
-    that is (cap - D) // d times.  Each division reads every part up to
-    cap - d once, so e divisions read e times the present size of those
-    parts when multiplying by u brings in no new monomial, and more when it
-    does.  That estimate is never below the series' count when
-    e >= cap // d, and a polynomial factor (e < 0) is never divided.
+    `parts[D]` holds the half-degree-D terms, and each step is a term
+    (half-degree dk > 0, packed monomial, coefficient) of S, sorted by dk.
+    The pass adds each step times part D into part D + dk.  Walked from the
+    top down, each part is read before any lower part adds into it, so the
+    parts are multiplied by 1 + S.  Walked upward, g = f / (1 - S) solves
+    g = f + S*g, and each part already holds its quotient when it is read.
     """
-    if not 0 < e < cap // d:
-        return False
-    sizes = [len(parts[D]) for D in range(cap - d + 1)]
-    return e * sum(sizes) < sum(n * ((cap - D) // d) for D, n in enumerate(sizes))
+    top = cap - steps[0][0]
+    for D in range(top + 1) if divide else range(top, -1, -1):
+        src = parts[D]
+        if not src:
+            continue
+        for dk, key, coef in steps:
+            if D + dk > cap:
+                break
+            _kernels.scale_accumulate(parts[D + dk], src, key, coef, cap, shift)
 
 
 def euler_product(vars, trunc, factors):
@@ -574,16 +567,11 @@ def euler_product(vars, trunc, factors):
 
     Each u is a signed monomial of positive degree on `vars` and each e an
     integer of either sign.  Equal signed u are merged by summing their e.
-    The product is kept as its parts by half-degree and multiplied in place
-    by one factor at a time, highest degree first, in whichever of two exact
-    expansions `_divisions_read_fewer` picks:
-
-    * the binomial series sum over k of C(e+k-1, k) * u**k, up to the cap
-      (for e < 0, the polynomial (1 - u)**|e|).  The parts are walked from
-      the top down, so each is read before a lower part adds into it;
-    * for e > 0, e divisions by (1 - u).  g = f / (1 - u) solves
-      g = f + u*g, so one upward pass parts[D + d] += u * parts[D] divides
-      exactly: each part already holds its quotient when it is read.
+    The product is kept as its parts by half-degree and changed in place by
+    one factor at a time, highest degree first, in one `_pass` over the
+    terms C(n, j) * (-u)**j, 1 <= j <= n, of (1 - u)**n with n = |e|, cut
+    at the cap: for e < 0 the pass multiplies by (1 - u)**n, for e > 0 it
+    divides by it.  Every coefficient is an exact integer.
     """
     _check_vars(vars)
     if not isinstance(trunc, int) or not 0 <= trunc <= MAX_TRUNC:
@@ -602,27 +590,13 @@ def euler_product(vars, trunc, factors):
     for (d, key, sign), e in sorted(merged.items(), reverse=True):
         if not e or d > cap:
             continue  # the factor is 1
-        if _divisions_read_fewer(parts, d, e, cap):
-            for _ in range(e):
-                for D in range(cap - d + 1):
-                    if parts[D]:
-                        _kernels.scale_accumulate(parts[D + d], parts[D], key, sign, cap, shift)
-            continue
-        steps = []  # (half-degree, packed monomial, coefficient) of each term b_k u**k, k >= 1
-        b = 1
-        for k in range(1, cap // d + 1):
-            b = b * (e + k - 1) // k  # b_k = C(e+k-1, k), exactly
-            if not b:
-                break
-            steps.append((k * d, k * key, -b if sign < 0 and k % 2 else b))
-        for D in range(cap - d, -1, -1):
-            src = parts[D]
-            if not src:
-                continue
-            for dk, kkey, coef in steps:
-                if D + dk > cap:
-                    break
-                _kernels.scale_accumulate(parts[D + dk], src, kkey, coef, cap, shift)
+        n = abs(e)
+        # dividing by 1 + S is dividing by 1 - (-S)
+        steps = [
+            (j * d, j * key, (-1 if e > 0 else 1) * comb(n, j) * (-sign) ** j)
+            for j in range(1, min(n, cap // d) + 1)
+        ]
+        _pass(parts, steps, e > 0, cap, shift)
     for part in parts[1:]:
         parts[0].update(part)
     return Series(vars, trunc, parts[0], _trusted=True)

@@ -1,9 +1,11 @@
 """series.euler_product against a naive product of (1 - u)**(-e) factors.
 
-The reference multiplies one series per factor, raised to -e through
-Series.inverse() and Series.__pow__.  It neither merges equal factors,
-forms a binomial coefficient nor divides in place, so it shares no code
-with the two in-place expansions under test.
+The reference multiplies in one series per factor, raised to |e| by
+Series.__pow__: for e < 0 the polynomial 1 - u, and for e > 0 the
+geometric series of (1 - u)**(-1), written out as a sum of monomials up to
+the cap.  A non-negative power only multiplies series, so the reference
+neither merges equal factors, forms a binomial coefficient nor runs the
+in-place pass under test, which Series.inverse also runs.
 """
 
 import math
@@ -20,7 +22,14 @@ from boxcount.series import Monomial, Series, euler_product, macmahon_factors
 def naive_product(vars, trunc, factors):
     out = Series.one(vars, trunc)
     for u, e in factors:
-        out = out * (Series.one(vars, trunc) - Series.from_monomial(u, trunc)) ** (-e)
+        if e > 0:
+            # sum over k of u**k; from_monomial drops the powers above the cap
+            base = Series.zero(vars, trunc)
+            for k in range(2 * trunc + 1):
+                base = base + Series.from_monomial(u**k, trunc)
+        else:
+            base = Series.one(vars, trunc) - Series.from_monomial(u, trunc)
+        out = out * base ** abs(e)
     return out
 
 
@@ -60,18 +69,18 @@ def factor_lists(draw):
 XY = ("x", "y")
 
 
-# single factors on each side of the choice between divisions and the binomial series
+# single factors, each one pass over the terms of (1 - u)**|e|
 @given(factor_lists())
 @settings(max_examples=100, deadline=None)
-# small e, low-degree u: e divisions by (1 - u); u**8 lands on the cap
+# e > 0, the upward walk: steps cut at |e|, and u**8 lands on the cap
 @example((XY, 8, [(Monomial(XY, (2, 0)), 2)]))
-# e >= cap // deg u: the binomial series
+# steps cut at cap // deg u, equal to |e| and below it
 @example((XY, 8, [(Monomial(XY, (2, 0)), 8)]))
 @example((XY, 8, [(Monomial(XY, (1, 2)), 30)]))
-# a signed half-unit u, divided and expanded
+# a signed half-unit u, steps cut at |e| and at cap // deg u
 @example((XY, 8, [(Monomial(XY, (1, 0), -1), 3)]))
 @example((XY, 8, [(Monomial(XY, (0, 1), -1), 17)]))
-# e < 0: the polynomial (1 - u)**3, whose u**3 lands on the cap
+# e < 0, the downward walk: the polynomial (1 - u)**3, whose u**3 lands on the cap
 @example((XY, 3, [(Monomial(XY, (1, 1)), -3)]))
 @example((XY, 3, [(Monomial(XY, (2, 0), -1), -3)]))
 def test_random_factors_match_naive_product(case):

@@ -98,6 +98,27 @@ def test_series_inverse():
         (Series.from_monomial(q, 8) * 2).inverse()
 
 
+@st.composite
+def unit_series(draw):
+    """A series on (x, y) with constant term +1 or -1 and up to 5 signed
+    terms of positive degree, some with half-unit exponents."""
+    V = ("x", "y")
+    trunc = draw(st.integers(0, 8))
+    s = Series.one(V, trunc) * draw(st.sampled_from((1, -1)))
+    halves = st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(any)
+    for h, coef in draw(st.lists(st.tuples(halves, st.integers(-3, 3).filter(bool)), max_size=5)):
+        s = s + Series.from_monomial(Monomial(V, h), trunc, coef)
+    return s
+
+
+@given(unit_series())
+@settings(max_examples=100, deadline=None)
+def test_series_inverse_of_units(s):
+    # the product goes through the multiplication kernel, not the inverse's pass
+    assert (s * s.inverse()).is_one()
+    assert s.inverse().inverse() == s
+
+
 def test_series_power_negative():
     V = ("q",)
     q = Monomial.var(V, "q")
