@@ -26,6 +26,7 @@ def mul_terms(a, b, cap, shift):
         return out
     if len(a) > len(b):
         a, b = b, a
+    # the buckets pay: one scale_accumulate per term of a measured 5x slower on klein(30)*pyramid(30), 12x on zn(5,16)^2
     # bucket the larger operand by half-degree so the inner loop is flat
     buckets = {}
     for k, c in b.items():

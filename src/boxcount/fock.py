@@ -1,10 +1,13 @@
 """Half-infinite wedge calculus on partitions, with exact series amplitudes.
 
-A state assigns each partition an amplitude in the truncated series ring.
-The operators here act slice-wise: the raising and lowering operators move
-between interlacing partitions (their primed variants conjugate first),
-weight operators read off a colour for each cell of a partition, and the
-mode operators add or remove border strips with alternating signs.
+A state, `FockState`, is a plain record giving each partition a non-empty
+amplitude in the truncated series ring: operations drop the amplitudes that
+cancel, so equal states have equal fields.  The operators act slice-wise:
+the raising and lowering operators move between interlacing partitions
+(their primed variants conjugate first), weight operators read off a colour
+for each cell of a partition, and the mode operators add or remove border
+strips with alternating signs.  Each only lists where a partition moves,
+with which monomial, sign and degree cap; one loop, `_act`, applies them.
 
 Composing weight and raising/lowering operators across a window of slices
 evaluates the coloured generating series of box piles and pyramid piles;
@@ -59,18 +62,16 @@ from boxcount.colouring import KLEIN_VARS, SLICE_COLOUR, Group, klein_group, par
 from boxcount.series import Monomial, Series, degree_shift, var_key
 
 
-class FockState:
-    """Finitely many partitions with series-valued amplitudes."""
+class FockState(NamedTuple):
+    """Finitely many partitions with series-valued amplitudes: a plain record.
 
-    __slots__ = ("vars", "trunc", "amps")
+    `amps` holds no empty amplitude (every operation drops those that
+    cancel), so equal states have equal fields and the zero state is {}.
+    """
 
-    def __init__(self, vars, trunc, amps):
-        object.__setattr__(self, "vars", vars)
-        object.__setattr__(self, "trunc", trunc)
-        object.__setattr__(self, "amps", amps)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FockState is immutable")
+    vars: tuple
+    trunc: int
+    amps: dict  # partition -> non-empty packed-key term dict
 
     @classmethod
     def vacuum(cls, vars, trunc):
@@ -111,17 +112,8 @@ class FockState:
             _kernels.scale_accumulate(out.setdefault(lam, {}), amp, 0, 1, cap, shift)
         return FockState(self.vars, self.trunc, {l: a for l, a in out.items() if a})
 
-    def __eq__(self, other):
-        if not isinstance(other, FockState):
-            return NotImplemented
-        if self.vars != other.vars or self.trunc != other.trunc:
-            return False
-        a = {l: amp for l, amp in self.amps.items() if amp}
-        b = {l: amp for l, amp in other.amps.items() if amp}
-        return a == b
-
     def is_zero(self):
-        return all(not amp for amp in self.amps.values())
+        return not self.amps
 
     def __repr__(self):
         return f"FockState({len(self.amps)} partitions; N={self.trunc})"
@@ -188,79 +180,22 @@ def _partners_below(mu, primed):
     )
 
 
-def _apply_gamma(state, grow, primed, arg, size_cap, reserve=0):
-    if arg.vars != state.vars:
-        raise ValueError("argument variables differ from the state's")
-    cap = 2 * state.trunc
-    shift = degree_shift(len(state.vars))
-    key_arg = arg.packed()
-    deg_arg = arg.degree_halves
-    # half-degree an added box costs: its own argument power, plus one box
-    # in each of the `reserve` weights still to come
-    per_box = deg_arg + 2 * reserve
-    out = {}
-    for mu, amp in state.amps.items():
-        if not amp:
-            continue
-        size = sum(mu)
-        mindeg = min(k >> shift for k in amp)
-        room = cap - mindeg
-        if grow:
-            if per_box > 0:
-                budget = room - 2 * reserve * size
-                if budget < 0:
-                    continue
-                limit = size + budget // per_box
-                if size_cap is not None:
-                    limit = min(limit, size_cap)
-            elif size_cap is not None:
-                limit = size_cap
-            else:
-                raise ValueError("raising with a degree-0 argument needs a size cap")
-            partners = _partners_above(mu, limit, primed)
-        else:
-            partners = _partners_below(mu, primed)
-        for lam, delta in partners:
-            lam_cap = cap - 2 * reserve * (size + delta if grow else size - delta)
-            if deg_arg * delta > lam_cap - mindeg:
-                continue
-            coef = -1 if (arg.sign < 0 and delta % 2) else 1
-            dst = out.setdefault(lam, {})
-            _kernels.scale_accumulate(dst, amp, delta * key_arg, coef, lam_cap, shift)
-    return FockState(state.vars, state.trunc, {l: a for l, a in out.items() if a})
+def _act(state, moves):
+    """The one loop every operator runs through.
 
-
-def _apply_weight_key(state, key_of):
-    cap = 2 * state.trunc
-    shift = degree_shift(len(state.vars))
-    out = {}
-    for lam, amp in state.amps.items():
-        dst = {}
-        _kernels.scale_accumulate(dst, amp, key_of(lam), 1, cap, shift)
-        if dst:
-            out[lam] = dst
-    return FockState(state.vars, state.trunc, out)
-
-
-def _apply_alpha(state, n):
-    cap = 2 * state.trunc
+    For each (lam, key, coef, cap) in moves(mu, amp), coef times x^key times
+    mu's amplitude amp is added into lam's, keeping half-degrees <= cap.
+    """
     shift = degree_shift(len(state.vars))
     out = {}
     for mu, amp in state.amps.items():
-        if not amp:
-            continue
-        if n < 0:
-            moves = young.add_border_strip(mu, -n)
-        else:
-            moves = young.remove_border_strip(mu, n)
-        for lam, height in moves:
-            coef = 1 if height % 2 == 1 else -1
-            _kernels.scale_accumulate(out.setdefault(lam, {}), amp, 0, coef, cap, shift)
-    return FockState(state.vars, state.trunc, {l: a for l, a in out.items() if a})
+        for lam, key, coef, cap in moves(mu, amp):
+            _kernels.scale_accumulate(out.setdefault(lam, {}), amp, key, coef, cap, shift)
+    return FockState(state.vars, state.trunc, {lam: amp for lam, amp in out.items() if amp})
 
 
 def apply_op(state, op, size_cap=None, reserve=0):
-    """Apply one operator.
+    """Apply one operator: each kind only lists its moves for `_act`.
 
     `size_cap` bounds the partitions a raising operator creates.  A positive
     `reserve` tells a gamma operator that `reserve` more weight operators
@@ -268,21 +203,58 @@ def apply_op(state, op, size_cap=None, reserve=0):
     that could then no longer stay within the truncation are never created.
     """
     kind = op[0]
+    cap = 2 * state.trunc
     if kind == "gamma":
         _, grow, primed, arg = op
-        return _apply_gamma(state, grow, primed, arg, size_cap, reserve)
-    if kind == "weight":
-        colours = op[1]
+        if arg.vars != state.vars:
+            raise ValueError("argument variables differ from the state's")
+        shift = degree_shift(len(state.vars))
+        key_arg = arg.packed()
+        # a partner delta boxes larger owes each of the `reserve` weights still to come
+        # delta more boxes (a smaller one, fewer), so its cap moves by step * delta and
+        # a box of delta costs its argument power less that move
+        step = -2 * reserve if grow else 2 * reserve
+        per_box = arg.degree_halves - step
+        if grow and per_box <= 0 and size_cap is None:
+            raise ValueError("raising with a degree-0 argument needs a size cap")
+
+        def moves(mu, amp):
+            size = sum(mu)
+            base = cap - 2 * reserve * size
+            room = base - min(k >> shift for k in amp)
+            if not grow:
+                partners = _partners_below(mu, primed)
+            elif per_box > 0:
+                if room < 0:
+                    return ()
+                limit = size + room // per_box
+                partners = _partners_above(mu, limit if size_cap is None else min(limit, size_cap), primed)
+            else:
+                partners = _partners_above(mu, size_cap, primed)
+            return [
+                (lam, delta * key_arg, arg.sign if delta % 2 else 1, base + step * delta)
+                for lam, delta in partners
+                if per_box * delta <= room
+            ]
+
+    elif kind == "weight":
         # a cell of colour c multiplies by q_c: its key is added once per cell
-        units = [var_key(len(state.vars), c) for c in colours]
+        units = [var_key(len(state.vars), c) for c in op[1]]
 
-        def key_of(lam, units=units):
-            return sum(map(mul, young.content_counts(lam, len(units)), units))
+        def moves(mu, amp):
+            return [(mu, sum(map(mul, young.content_counts(mu, len(units)), units)), 1, cap)]
 
-        return _apply_weight_key(state, key_of)
-    if kind == "alpha":
-        return _apply_alpha(state, op[1])
-    raise ValueError(f"unknown operator {op!r}")
+    elif kind == "alpha":
+        n = op[1]
+        strips = young.add_border_strip if n < 0 else young.remove_border_strip
+
+        def moves(mu, amp):
+            # a strip spanning h rows carries the sign (-1)^(h-1)
+            return [(lam, 0, 1 if h % 2 else -1, cap) for lam, h in strips(mu, abs(n))]
+
+    else:
+        raise ValueError(f"unknown operator {op!r}")
+    return _act(state, moves)
 
 
 def apply_ops(state, ops, size_cap=None):

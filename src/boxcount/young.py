@@ -87,44 +87,31 @@ def partitions_up_to(n):
         yield from partitions_of(k)
 
 
-def interlacing_below(lam):
-    """All mu with lam covering mu in the interlacing order, sorted."""
-    m = len(lam)
-    out = []
-
-    def rec(i, rows):
-        if i == m:
-            out.append(tuple(r for r in rows if r))
-            return
-        lo = lam[i + 1] if i + 1 < m else 0
-        for v in range(lo, lam[i] + 1):
-            rec(i + 1, rows + [v])
-
-    rec(0, [])
-    out = sorted(set(out), key=lambda p: (sum(p), p))
-    return out
-
-
-def interlacing_above(mu, max_size):
-    """All lam covering mu with at most max_size boxes, sorted."""
-    m = len(mu)
-    budget = max_size - sum(mu)
-    if budget < 0:
-        return []
+def _rows_between(lo, hi, budget):
+    """Partitions with row i in [lo[i], hi[i]] for i < len(hi) and at most
+    `budget` boxes beyond lo, sorted by (size, rows).  Both callers' bounds
+    force weakly decreasing rows, so distinct row choices never coincide."""
     out = []
 
     def rec(i, rows, left):
-        if i == m + 1:
+        if i == len(hi):
             out.append(tuple(r for r in rows if r))
             return
-        lo = mu[i] if i < m else 0
-        hi = min(mu[i - 1] if i >= 1 else lo + left, lo + left)
-        for v in range(lo, hi + 1):
-            rec(i + 1, rows + [v], left - (v - lo))
+        for v in range(lo[i], min(hi[i], lo[i] + left) + 1):
+            rec(i + 1, rows + [v], left - (v - lo[i]))
 
     rec(0, [], budget)
-    out = sorted(set(out), key=lambda p: (sum(p), p))
-    return out
+    return sorted(out, key=lambda p: (sum(p), p))
+
+
+def interlacing_below(lam):
+    """All mu with lam covering mu in the interlacing order, sorted by (size, rows)."""
+    return _rows_between(lam[1:] + (0,), lam, sum(lam))
+
+
+def interlacing_above(mu, max_size):
+    """All lam covering mu with at most max_size boxes, sorted by (size, rows)."""
+    return _rows_between(mu + (0,), (max_size,) + mu, max_size - sum(mu))
 
 
 def _beta(p, window):
@@ -140,8 +127,8 @@ def _from_beta(beta):
     return tuple(r for r in rows if r)
 
 
-def add_border_strip(p, length):
-    """All (partition, rows spanned) from adding a connected strip of cells.
+def _move_bead(p, length, sign):
+    """All (partition, rows spanned) from moving one bead by sign * length.
 
     A strip move is a bead jump on the beta-numbers; the number of beads
     passed over plus one is the number of rows the strip occupies.
@@ -152,25 +139,20 @@ def add_border_strip(p, length):
     beta = _beta(p, window)
     out = []
     for b in beta:
-        if b + length in beta:
+        t = b + sign * length
+        # positions below the window belong to empty rows, hence occupied
+        if t in beta or t < -window:
             continue
-        height = sum(1 for s in beta if b < s < b + length) + 1
-        out.append((_from_beta(beta - {b} | {b + length}), height))
+        height = sum(1 for s in beta if min(b, t) < s < max(b, t)) + 1
+        out.append((_from_beta(beta - {b} | {t}), height))
     return sorted(out, key=lambda t: t[0])
+
+
+def add_border_strip(p, length):
+    """All (partition, rows spanned) from adding a connected strip of cells."""
+    return _move_bead(p, length, 1)
 
 
 def remove_border_strip(p, length):
     """All (partition, rows spanned) from removing a connected strip."""
-    if length < 1:
-        raise ValueError("strip length must be positive")
-    window = len(p) + length
-    beta = _beta(p, window)
-    out = []
-    for b in beta:
-        t = b - length
-        # positions below the window belong to empty rows, hence occupied
-        if t in beta or t < -window:
-            continue
-        height = sum(1 for s in beta if t < s < b) + 1
-        out.append((_from_beta(beta - {b} | {t}), height))
-    return sorted(out, key=lambda t: t[0])
+    return _move_bead(p, length, -1)

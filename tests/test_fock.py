@@ -164,6 +164,41 @@ def test_state_algebra():
     assert (vac + vac.scale(-Monomial.one(V))).is_zero()
     with pytest.raises(ValueError):
         vac.scale(Series.one(("y",), N))
+    # a plain record: equal fields are equal states, and no field can be rebound
+    assert vac == FockState(V, N, {(): {0: 1}}) and vac != FockState(V, N + 1, {(): {0: 1}})
+    for name in ("vars", "trunc", "amps"):
+        with pytest.raises(AttributeError):
+            setattr(vac, name, None)
+    assert not hasattr(vac, "__dict__")
+    assert repr(two) == f"FockState(1 partitions; N={N})"
+
+
+V2 = ("x", "y")
+ARGS2 = [Monomial.var(V2, "x"), -Monomial.var(V2, "x"), -Monomial.var(V2, "y"), Monomial.one(V2)]
+mixed_ops = st.one_of(
+    st.builds(gamma_minus, st.sampled_from(ARGS2), st.booleans()),
+    st.builds(gamma_plus, st.sampled_from(ARGS2), st.booleans()),
+    st.builds(lambda cs: fock.weight_op(*cs), st.lists(st.integers(0, 1), min_size=1, max_size=3)),
+    st.builds(alpha_op, st.sampled_from([-3, -2, -1, 1, 2, 3])),
+)
+
+
+@given(
+    st.integers(0, 5).flatmap(lambda n: st.sampled_from(list(young.partitions_of(n)))),
+    st.integers(0, 6),
+    st.lists(mixed_ops, max_size=6),
+)
+@settings(max_examples=120, deadline=None)
+def test_no_state_holds_an_empty_amplitude(mu, trunc, word):
+    # the invariant that makes field equality the state equality: every
+    # operator, sum and scaling drops the amplitudes that cancel
+    state = FockState.basis(mu, V2, trunc)
+    for op in reversed(word):
+        state = apply_op(state, op, size_cap=trunc)
+        for s in (state, state + state.scale(-Monomial.one(V2)), state.scale(Monomial.var(V2, "y", 2 * trunc))):
+            assert all(s.amps.values()) and all(all(amp.values()) for amp in s.amps.values())
+            assert s.is_zero() == (not s.amps) == all(s.amplitude(lam).is_zero() for lam in s.amps)
+        assert (state + state.scale(-Monomial.one(V2))).is_zero()
 
 
 def test_gamma_degree_pruning_matches_plain_application():

@@ -279,6 +279,13 @@ CLI_DIGESTS = {
     ("formula pyramid -N 30", "json"): "50e4800c23eae8230f8587fda7e3ef905848a84b88bde886f9e6615ee3074217",
     ("dt klein -N 28 --side resolution", "json"): "4faf40d797dd37fa1c00e45310689162df15866812f6fefbed2b0f5c8a6ca304",
     ("dt klein -N 28 --side paired", "json"): "5276e2c600c004d68e746921cfc5cdf9b810797101c8610bb092f51777c611d3",
+    # the transfer machines: the perfbench `transfer` workload's operations at its depth,
+    # the primed checkerboard table, and z3diag, which has no closed form to compare with
+    ("transfer z2z2 -N 15", "json"): "15d6346f9e8785674046492cbe2074f5ce9f874194d6245e313f2fef9c4c7761",
+    ("transfer pyramid -N 15", "json"): "2a858a01af8beab6a865160385bbb19c6a1748c95c78c59e8adee839e3b7f611",
+    ("transfer zn:3 -N 15", "json"): "58cc84ccbdcce89a39a0ec3da7952a72a1b5e33768c9a4e37322e9d9f18586bb",
+    ("transfer pyramid-checkerboard -N 12", "json"): "8c5fdb1dbe38be2e77009e9a6524d8850b0b861ad8c57b693418335ff00d4519",
+    ("transfer z3diag -N 12", "json"): "1139c2062c1df8ed53ada4f4bb1ed0faef075939b84dbf00be2b6140c2ca1930",
 }
 
 

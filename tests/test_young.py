@@ -73,16 +73,23 @@ def test_interlacing_is_horizontal_strip(lam, mu):
 @given(partitions)
 @settings(max_examples=60, deadline=None)
 def test_interlacing_neighbours(mu):
+    size = young.size(mu)
+    # sorted by (size, rows), as the docstrings promise, hence without repeats
+    by_size = lambda p: (young.size(p), p)
     below = young.interlacing_below(mu)
+    assert below == sorted(set(below), key=by_size)
     assert all(young.interlaces(mu, nu) for nu in below)
-    assert len(set(below)) == len(below)
-    above = young.interlacing_above(mu, young.size(mu) + 3)
-    assert all(young.interlaces(nu, mu) for nu in above)
-    for nu in young.partitions_up_to(young.size(mu) + 3):
-        if young.interlaces(nu, mu):
-            assert nu in above
-        if young.interlaces(mu, nu):
-            assert nu in below
+    assert young.interlacing_above(mu, size - 1) == []
+    for budget in (-1, 0, 1, 3):
+        above = young.interlacing_above(mu, size + budget)
+        assert above == sorted(set(above), key=by_size)
+        assert all(young.interlaces(nu, mu) for nu in above)
+        # every neighbour is listed, up to the size bound exactly and not one box past it
+        for nu in young.partitions_up_to(size + max(budget, 0) + 1):
+            if young.interlaces(nu, mu):
+                assert (nu in above) == (young.size(nu) <= size + budget), (nu, budget)
+            if young.interlaces(mu, nu):
+                assert nu in below
 
 
 # reference border-strip model: direct skew-shape scan, no bead encoding
