@@ -22,6 +22,9 @@ Each factor is one pass (`_pass`) over the terms of (1 - u)**|e| cut at
 the cap: walked from the top down it multiplies by that polynomial (e < 0),
 walked upward it divides by it (e > 0), exactly, since every part already
 holds its quotient when it is read.  `Series.inverse` is the same upward pass.
+Since every pass is exact, the order of the factors only sets the work: a
+pass reads every part in reach once per term, so the factors with the most
+terms, the largest |e|, go first, while the product is still short.
 The MacMahon products `macmahon` and `macmahon_tilde` only build their
 factor lists and call `euler_product`.  They, `Series.inverse` and
 `Series.__pow__` remain only for the tests and the perfbench harness's
@@ -568,10 +571,15 @@ def euler_product(vars, trunc, factors):
     Each u is a signed monomial of positive degree on `vars` and each e an
     integer of either sign.  Equal signed u are merged by summing their e.
     The product is kept as its parts by half-degree and changed in place by
-    one factor at a time, highest degree first, in one `_pass` over the
-    terms C(n, j) * (-u)**j, 1 <= j <= n, of (1 - u)**n with n = |e|, cut
-    at the cap: for e < 0 the pass multiplies by (1 - u)**n, for e > 0 it
-    divides by it.  Every coefficient is an exact integer.
+    one factor at a time, in one `_pass` over the terms C(n, j) * (-u)**j,
+    1 <= j <= min(n, cap // deg u), of (1 - u)**n with n = |e|: for e < 0
+    the pass multiplies by (1 - u)**n, for e > 0 it divides by it.  Every
+    coefficient is an exact integer, so the order of the factors does not
+    change the product.  It sets the work, as each pass reads every part in
+    reach once per term: the factors are taken in decreasing |e|, then
+    decreasing degree of u, so those with the most terms (on the resolution
+    side, the box factors (-q)**m with e = |G| * m) run while the product
+    is still short.  Packed u and then its sign break the remaining ties.
     """
     _check_vars(vars)
     if not isinstance(trunc, int) or not 0 <= trunc <= MAX_TRUNC:
@@ -587,7 +595,8 @@ def euler_product(vars, trunc, factors):
         key = (u.degree_halves, u.packed(), u.sign)
         merged[key] = merged.get(key, 0) + e
     parts = [{0: 1}] + [{} for _ in range(cap)]  # parts[D] is the half-degree-D part
-    for (d, key, sign), e in sorted(merged.items(), reverse=True):
+    order = sorted(merged.items(), key=lambda item: (abs(item[1]), item[0]), reverse=True)
+    for (d, key, sign), e in order:
         if not e or d > cap:
             continue  # the factor is 1
         n = abs(e)

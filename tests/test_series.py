@@ -279,6 +279,8 @@ CLI_DIGESTS = {
     ("formula pyramid -N 30", "json"): "50e4800c23eae8230f8587fda7e3ef905848a84b88bde886f9e6615ee3074217",
     ("dt klein -N 28 --side resolution", "json"): "4faf40d797dd37fa1c00e45310689162df15866812f6fefbed2b0f5c8a6ca304",
     ("dt klein -N 28 --side paired", "json"): "5276e2c600c004d68e746921cfc5cdf9b810797101c8610bb092f51777c611d3",
+    # a deeper resolution, where the cap cuts most factors' steps
+    ("dt zn:5 -N 24 --side resolution", "json"): "f14ada0941109932ef4fef0a6b2bc61af9c386b72880a08e7b15f1bed5eb506e",
     # the transfer machines: the perfbench `transfer` workload's operations at its depth,
     # the primed checkerboard table, and z3diag, which has no closed form to compare with
     ("transfer z2z2 -N 15", "json"): "15d6346f9e8785674046492cbe2074f5ce9f874194d6245e313f2fef9c4c7761",
