@@ -7,12 +7,14 @@ transfer, sign, dt), and `verify_routes(target)` lists the routes a
 the routes before any work and checks the enumeration cap once on all of
 them.  Then it prints the route, or compares the first route with each of
 the others and exits 1 with the first differing monomial.  Exit codes: 0
-agreement, 1 mismatch, 2 usage.
+agreement, 1 mismatch, 2 usage, 141 (128 + SIGPIPE) when the reader of
+stdout closes it early.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import lru_cache
 from typing import Callable, NamedTuple
@@ -115,9 +117,10 @@ def verify_routes(target):
 
 def _emit(series, fmt, max_terms):
     if fmt == "json":
-        print(series.to_json())
+        series.to_json(sys.stdout)
+        sys.stdout.write("\n")
     elif fmt == "csv":
-        print(series.to_csv(), end="")
+        series.to_csv(sys.stdout)
     else:
         print(series.pretty(max_terms=max_terms))
 
@@ -178,6 +181,19 @@ SUBCOMMANDS = (
 
 
 def main(argv=None):
+    try:
+        code = _main(argv)
+        # flushed here, so that a closed pipe is caught below and not at interpreter exit
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone: as the Python `signal` docs advise, stdout goes to devnull so
+        # that the exit flush fails no more, and the exit code is 128 + SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return code
+
+
+def _main(argv):
     parser = argparse.ArgumentParser(prog="boxcount", description=__doc__.split("\n")[0])
     parser.set_defaults(which=None, side="orbifold")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -221,7 +221,8 @@ def apply_op(state, op, size_cap=None, reserve=0):
         def moves(mu, amp):
             size = sum(mu)
             base = cap - 2 * reserve * size
-            room = base - min(k >> shift for k in amp)
+            # the least key has the least degree, since the half-degree lane is the most significant
+            room = base - (min(amp) >> shift)
             if not grow:
                 partners = _partners_below(mu, primed)
             elif per_box > 0:

@@ -7,12 +7,22 @@ ever holds whole-unit (even half-count) exponents once it is serialized.
 Terms are stored sparsely in a dict keyed by a packed integer: one 8-bit
 lane per variable holding the half-unit exponent, plus the total
 half-degree in the lane above them.  Adding keys multiplies monomials, and
-the truncation test is a shift.  Only this module knows the layout; others
-use `degree_shift`, `var_key` and `Monomial.packed`.  No lane may carry
-into the next, which is why truncation order is at most 63: a kept term's
-half-exponents and half-degree are at most 126 < 256, and the kernels drop
-a product above the cap before adding its key.  MAX_VARS = 7 is not needed
-by the layout; it is the colour count of zn:7, the largest group built.
+the truncation test is a shift.  Variable 0 sits in the highest lane below
+the half-degree and the last variable in lane 0, so a key's bytes, most
+significant first, read (half-degree, exponent of variable 0, ..., of the
+last): integer order of the keys is the canonical term order, by degree
+and then by exponents from the first variable.  The writers therefore sort
+plain ints, and `diff` takes the least differing key.  Only this module
+knows the layout; others use `degree_shift`, `var_key` and
+`Monomial.packed`.  No lane may carry into the next, which is why
+truncation order is at most 63: a kept term's half-exponents and
+half-degree are at most 126 < 256, and the kernels drop a product above the
+cap before adding its key.  MAX_VARS = 7 is not needed by the layout; it is
+the colour count of zn:7, the largest group built.
+
+`Series.to_json` and `Series.to_csv` make their text WRITE_BLOCK terms at a
+time and can hand each block to a stream as soon as it is made, so printing
+a series never holds its whole text.
 
 Every infinite product in the package is evaluated by one function,
 `euler_product(vars, trunc, factors)`: the product of (1 - u)**(-e) over a
@@ -40,9 +50,11 @@ from boxcount import _kernels
 
 MAX_VARS = 7
 MAX_TRUNC = 63
-# bits per exponent lane of a packed key: one byte, so `int.to_bytes` unpacks
-# a key with the half-degree lane as its last byte
+# bits per exponent lane of a packed key: one byte, so `int.to_bytes(m + 1, "big")`
+# unpacks a key on m variables to (half-degree, half-exponents...)
 _LANE = 8
+# terms per block of text that the writers make and write at once
+WRITE_BLOCK = 128
 
 
 def _check_vars(vars):
@@ -65,8 +77,8 @@ def degree_shift(nvars):
 def _pack(halves):
     key = 0
     total = 0
-    for i, h in enumerate(halves):
-        key |= h << (_LANE * i)
+    for h in halves:
+        key = (key << _LANE) | h
         total += h
     return key | (total << degree_shift(len(halves)))
 
@@ -82,7 +94,7 @@ def _half_units(nvars):
 
 
 def _unpack(key, nvars):
-    return tuple(key.to_bytes(nvars + 1, "little")[:nvars])
+    return tuple(key.to_bytes(nvars + 1, "big")[1:])
 
 
 class Monomial:
@@ -281,27 +293,25 @@ class Series:
             raise ValueError("exponent tuple length does not match variables")
         return self._terms.get(_pack(tuple(2 * e for e in exps)), 0)
 
-    def _rows(self, whole=False):
-        """Sorted (half-degree, exponent bytes, coefficient) rows, which is
-        canonical order; exponents in whole units if `whole`, else halves."""
-        m = len(self.vars)
-        half = _half_units(m)
-        if whole and any(k & half for k in self._terms):
+    def _sorted_whole(self):
+        """The keys in canonical order; ValueError on a half-integer exponent."""
+        half = _half_units(len(self.vars))
+        if any(k & half for k in self._terms):
             raise ValueError("series has half-integer exponents")
-        # with no half-unit bit set, one shift halves every lane at once
-        w, shift = int(whole), self._shift
-        rows = [(k >> shift, (k >> w).to_bytes(m + 1, "little")[:m], c) for k, c in self._terms.items()]
-        return sorted(rows)
+        return sorted(self._terms)
 
     def items(self):
         """Yield (half-exponent tuple, coefficient) in canonical order."""
-        for _, halves, coef in self._rows():
-            yield tuple(halves), coef
+        m = len(self.vars)
+        for k in sorted(self._terms):
+            yield _unpack(k, m), self._terms[k]
 
     def iter_whole(self):
         """Yield (whole-unit exponent tuple, coefficient) in canonical order."""
-        for _, exps, coef in self._rows(whole=True):
-            yield tuple(exps), coef
+        m = len(self.vars)
+        for k in self._sorted_whole():
+            # with no half-unit bit set, one shift halves every lane at once
+            yield _unpack(k >> 1, m), self._terms[k]
 
     def __len__(self):
         return len(self._terms)
@@ -335,7 +345,7 @@ class Series:
         differ = [k for k in a.keys() | b.keys() if (k >> shift) <= cap and a.get(k, 0) != b.get(k, 0)]
         if not differ:
             return None
-        key = min(differ, key=lambda k: (k >> shift, _unpack(k, m)))
+        key = min(differ)
         return _unpack(key, m), a.get(key, 0), b.get(key, 0)
 
     def pretty(self, max_terms=None):
@@ -503,7 +513,7 @@ class Series:
         for key, c in self._terms.items():
             if key & halves:
                 raise ValueError("sign substitution on a half-integer exponent")
-            q = sum(((key >> (_LANE * i + 1)) & 1) << i for i in range(m))
+            q = sum(((key >> (_LANE * (m - 1 - i) + 1)) & 1) << i for i in range(m))
             out[key] = -c if odd[q] else c
         return Series(self.vars, self.trunc, out, _trusted=True)
 
@@ -513,12 +523,15 @@ class Series:
         terms = [{"exp": list(exps), "coef": str(coef)} for exps, coef in self.iter_whole()]
         return {"vars": list(self.vars), "trunc": self.trunc, "terms": terms}
 
-    def to_json(self):
-        """The text of json.dumps(self.to_json_dict()), written in one pass."""
+    def to_json(self, out=None):
+        """The text of json.dumps(self.to_json_dict()), written in one pass.
+
+        With `out`, a text stream, the text is written to it WRITE_BLOCK
+        terms at a time and None is returned; without it, it is returned.
+        """
         head = json.dumps({"vars": list(self.vars), "trunc": self.trunc})
         term = '{"exp": [' + ", ".join(["%d"] * len(self.vars)) + '], "coef": "%s"}'
-        body = ", ".join([term % (*exps, coef) for _, exps, coef in self._rows(whole=True)])
-        return head[:-1] + ', "terms": [' + body + "]}"
+        return self._write(head[:-1] + ', "terms": [', term, ", ", "]}", False, out)
 
     @classmethod
     def from_json_dict(cls, data):
@@ -533,11 +546,33 @@ class Series:
     def from_json(cls, text):
         return cls.from_json_dict(json.loads(text))
 
-    def to_csv(self):
-        header = "degree," + ",".join(f"exponent_{v}" for v in self.vars) + ",coefficient"
-        line = "%d," + ",".join(["%d"] * len(self.vars)) + ",%s"
-        rows = self._rows(whole=True)
-        return "\n".join([header] + [line % (d // 2, *exps, coef) for d, exps, coef in rows]) + "\n"
+    def to_csv(self, out=None):
+        """One header line, then one line of degree, exponents and
+        coefficient per term.  With `out`, a text stream, the text is
+        written to it WRITE_BLOCK terms at a time and None is returned;
+        without it, it is returned."""
+        header = "degree," + ",".join(f"exponent_{v}" for v in self.vars) + ",coefficient\n"
+        line = "%d," + ",".join(["%d"] * len(self.vars)) + ",%s\n"
+        return self._write(header, line, "", "", True, out)
+
+    def _write(self, head, form, sep, tail, degree, out):
+        """Write `head`, then each term as `form` % (degree if `degree`,
+        *whole exponents, coefficient) with `sep` between terms, then
+        `tail`, in canonical order, to `out` one block at a time; with no
+        `out`, return the text."""
+        keys = self._sorted_whole()
+        terms = self._terms
+        m = len(self.vars) + degree
+        # the halved key's low m bytes: the exponents, after the degree if `degree`
+        low = (1 << (_LANE * m)) - 1
+        chunks = []
+        write = chunks.append if out is None else out.write
+        write(head)
+        for i in range(0, len(keys), WRITE_BLOCK):
+            rows = [form % (*((k >> 1) & low).to_bytes(m, "big"), terms[k]) for k in keys[i : i + WRITE_BLOCK]]
+            write(sep.join(rows) if i == 0 else sep + sep.join(rows))
+        write(tail)
+        return "".join(chunks) if out is None else None
 
 
 # -- product formulas ------------------------------------------------------

@@ -297,3 +297,22 @@ def test_startup_imports_no_dataclasses_or_inspect():
     )
     assert {"argparse", "json", "boxcount.fock", "boxcount.formulas"} <= loaded
     assert sorted(loaded & {"dataclasses", "inspect"}) == []
+
+
+def test_closed_pipe_exits_141_quietly():
+    # the reader takes 10 bytes of a 290 kB document and closes the pipe
+    src = str(Path(boxcount.__file__).resolve().parent.parent)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "boxcount.cli", "formula", "klein", "-N", "30", "--format", "json"],
+        env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    try:
+        assert proc.stdout.read(10) == b'{"vars": ['
+        proc.stdout.close()
+        assert proc.wait(timeout=20) == 141
+        assert proc.stderr.read() == b""
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+        proc.stderr.close()

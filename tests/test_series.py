@@ -1,12 +1,18 @@
 import hashlib
+import io
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from boxcount import cli
-from boxcount.series import MAX_TRUNC, MAX_VARS, Monomial, Series, euler_product, macmahon, macmahon_tilde
+from boxcount.colouring import parse_group
+from boxcount.formulas import closed_orbifold
+from boxcount.series import (
+    MAX_TRUNC, MAX_VARS, WRITE_BLOCK, Monomial, Series, _pack, euler_product, macmahon, macmahon_tilde,
+)
 
 # frozen from tools/oracles/series_products.py
 MAC_M_1Q_14 = [1, 1, 3, 6, 13, 24, 48, 86, 160, 282, 500, 859, 1479, 2485, 4167]
@@ -156,6 +162,43 @@ def test_diff_reports_first_mismatch():
     assert a.diff(a) is None
 
 
+def test_diff_reports_canonically_first_of_several_mismatches():
+    # y^3 < x*z^2 < x^2*y in canonical order; with the lanes reversed, integer
+    # order would compare z first and put x^2*y first
+    V = ("x", "y", "z")
+    a = Series.from_terms(V, 6, {(0, 0, 0): 1, (0, 3, 0): 2, (1, 0, 2): 5, (2, 1, 0): 7, (4, 0, 0): 1})
+    b = Series.from_terms(V, 6, {(0, 0, 0): 1, (0, 3, 0): -2, (1, 0, 2): 6, (2, 1, 0): 0, (0, 0, 4): 3})
+    assert a.diff(b) == ((0, 6, 0), 2, -2)
+    assert b.diff(a) == ((0, 6, 0), -2, 2)
+    c = Series.from_terms(V, 6, {(0, 0, 0): 1, (0, 3, 0): 2, (1, 0, 2): 6, (2, 1, 0): 0})
+    assert a.diff(c) == ((2, 0, 4), 5, 6)
+
+
+@st.composite
+def exponent_pair(draw):
+    # two half-exponent tuples on 1-7 variables, each of half-degree at most 126
+    n = draw(st.integers(1, MAX_VARS))
+
+    def halves():
+        room, out = 2 * MAX_TRUNC, []
+        for _ in range(n):
+            out.append(draw(st.integers(0, room)))
+            room -= out[-1]
+        return tuple(draw(st.permutations(out)))
+
+    return halves(), halves()
+
+
+@given(exponent_pair())
+@example(((2, 0), (0, 2)))
+@example(((0, 0, 126), (126, 0, 0)))
+@settings(max_examples=300, deadline=None)
+def test_key_order_is_canonical_order(pair):
+    a, b = pair
+    assert (_pack(a) < _pack(b)) == ((sum(a), a) < (sum(b), b))
+    assert (_pack(a) == _pack(b)) == (a == b)
+
+
 def test_guardrails():
     with pytest.raises(ValueError):
         Series.one(tuple("abcdefgh"), 4)  # too many variables
@@ -244,10 +287,54 @@ def test_json_writer_matches_json_dumps(s):
     assert s.to_json() == json.dumps(s.to_json_dict())
 
 
+@given(any_series())
+@settings(max_examples=60, deadline=None)
+def test_items_come_in_degree_then_exponent_order(s):
+    halves = [h for h, _ in s.items()]
+    assert halves == sorted(set(halves), key=lambda h: (sum(h), h))
+
+
+def _series_of(n):
+    # the first n monomials on three variables of degree <= 20, with coefficients of every size
+    V = ("x", "y", "z")
+    exps = [(i, j, k) for i in range(21) for j in range(21 - i) for k in range(21 - i - j)][:n]
+    return Series.from_terms(V, 20, {e: (-1) ** t * 7**t for t, e in enumerate(exps, 1)})
+
+
+@pytest.mark.parametrize("n", [0, 1, WRITE_BLOCK - 1, WRITE_BLOCK, WRITE_BLOCK + 1, 2 * WRITE_BLOCK + 1])
+def test_streamed_writers_write_the_returned_text(n):
+    s = _series_of(n)
+    assert len(s) == n
+    for write in (s.to_json, s.to_csv):
+        out = io.StringIO()
+        assert write(out) is None
+        assert out.getvalue() == write()
+    assert json.loads(s.to_json()) == s.to_json_dict()
+
+
+class _Discard:
+    def write(self, text):
+        pass
+
+
+def test_streamed_writer_holds_a_fraction_of_the_text():
+    # what stays is the sorted key list, 8 of the ~45 bytes a term of zn:7's JSON takes, and one block
+    s = closed_orbifold(parse_group("zn:7"), 20)
+    size = len(s.to_json())
+    tracemalloc.start()
+    try:
+        s.to_json(_Discard())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < size / 4, (peak, size)
+
+
 def test_writers_refuse_half_integer_exponents():
     V = ("x", "y")
     s = Series.one(V, 3) + Series.from_monomial(Monomial.from_half_exponents(V, {"x": 1, "y": 2}), 3)
-    for write in (s.to_json, s.to_csv, s.to_json_dict, lambda: list(s.iter_whole())):
+    for write in (s.to_json, s.to_csv, s.to_json_dict, lambda: list(s.iter_whole()),
+                  lambda: s.to_json(_Discard()), lambda: s.to_csv(_Discard())):
         with pytest.raises(ValueError, match="half-integer"):
             write()
     assert [h for h, _ in s.items()] == [(0, 0), (1, 2)]
@@ -288,6 +375,11 @@ CLI_DIGESTS = {
     ("transfer zn:3 -N 15", "json"): "58cc84ccbdcce89a39a0ec3da7952a72a1b5e33768c9a4e37322e9d9f18586bb",
     ("transfer pyramid-checkerboard -N 12", "json"): "8c5fdb1dbe38be2e77009e9a6524d8850b0b861ad8c57b693418335ff00d4519",
     ("transfer z3diag -N 12", "json"): "1139c2062c1df8ed53ada4f4bb1ed0faef075939b84dbf00be2b6140c2ca1930",
+    # recorded before the writers streamed their text in blocks of keys in integer order
+    ("formula klein -N 30", "csv"): "ba57ed683de72169b89ef8d265701b479bdfa2110dce7e89da7a3b0a6edd4d99",
+    ("formula klein -N 12", "pretty"): "47774784484f1e0459241bf8406b981a98ee9c483e6fac54ec93eb0a1dc697f6",
+    ("dt zn:3 -N 12 --side resolution --max-terms 500", "pretty"):
+        "71a92e19793709ce252c98338919fb85f75b1478148ef15881448d45c6e06a5e",
 }
 
 
