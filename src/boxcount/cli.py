@@ -237,13 +237,14 @@ def _main(argv):
             failed += not ok
         return 1 if failed else 0
 
+    usage_error = sub.choices[args.command].error  # its usage line names the subcommand
     try:
         routes = verify_routes(args.which) if args.command == "verify" else [route(args.command, args.which, args.side)]
     except ValueError as exc:
-        parser.error(str(exc))
+        usage_error(str(exc))
     N = args.trunc
     if N > MAX_ENUM_TRUNC and any(r.enumerates for r in routes):
-        parser.error(f"argument -N/--trunc: a route that enumerates piles needs -N in [0, {MAX_ENUM_TRUNC}], got {N}")
+        usage_error(f"argument -N/--trunc: a route that enumerates piles needs -N in [0, {MAX_ENUM_TRUNC}], got {N}")
     first, *others = routes
     series = first.series(N)
     if args.command != "verify":

@@ -20,11 +20,13 @@ partition by the product of its cells' colour variables.
 
 Transfer machines are data.  A `Machine` is a slice table: its series
 variables, the box-pile colouring it counts (None for pyramid piles), and a
-function taking a slice index s to (weight operator, primed).  `evaluate`
-is the one evaluator: it walks s from N down to -N-1, applying slice s's
-creator (raising for s >= 0, lowering below, conjugating first when primed,
-argument 1) and then slice s's weight.  `MACHINES` holds the pyramid
-tables, and `machine(name)` builds every box-pile table from its group.
+function taking a slice index s to (weight operator, primed).  `word`
+alone decides the window s = N, ..., -N-1 and each slice's creator: it
+lists the records (s, raising, primed, weight), raising for s >= 0.  The
+one evaluator, `evaluate`, applies each record's creator (argument 1,
+conjugating first when primed), then its weight, from the vacuum.
+`MACHINES` holds the pyramid tables, and `machine(name)` builds every
+box-pile table from its group.
 
 A box-pile machine reads its colours from the group's characters alone.
 Cell (row i, column j) of slice s is the box (i+s, i, j) for s >= 0 and
@@ -33,14 +35,14 @@ gives it the digit (c*(j-i) + a*s) mod n for s >= 0 and
 (c*(j-i) + b*|s|) mod n below, so each slice's colour is a function of the
 cell content j - i modulo the lcm of the moduli with c != 0 mod n.
 
-The walk is pruned by a degree budget.  Right after slice s's creator, a
-partition lam still owes its own weight |lam|.  For s >= 0 the creators up
-to slice 0 only raise, and a step of either kind, plain or primed, yields a
-partition containing the one before it; so slices s, ..., 0 each weigh at
-least |lam|, and at least (s+1)|lam| more boxes are still to be weighted.
-For s < 0 slice s itself weighs |lam|.  A term whose half-degree plus twice
-that bound exceeds 2N cannot reach a coefficient of degree <= N, so the
-creator never produces it, nor any partner too large to fit the budget.
+The walk is pruned by a degree budget read off the word.  A raising step
+of either kind, plain or primed, yields a partition containing the one
+before it.  So a partition lam made by a creator that starts a run of r
+raising records is weighed at least |lam| by each of them: its reserve is
+r, which is s+1 for s >= 0.  A lowering creator's reserve is 1, its own
+slice's weight.  A term whose half-degree plus twice reserve * |lam|
+exceeds 2N cannot reach a coefficient of degree <= N, so the creator never
+produces it, nor any partner too large to fit the budget.
 
 No tail bound is used.  A plain lowering step keeps lam_(i+1) boxes in row
 i, so along plain slices below 0 the remaining weight is also at least
@@ -198,9 +200,10 @@ def apply_op(state, op, size_cap=None, reserve=0):
     """Apply one operator: each kind only lists its moves for `_act`.
 
     `size_cap` bounds the partitions a raising operator creates.  A positive
-    `reserve` tells a gamma operator that `reserve` more weight operators
-    will each add at least the size of each partition it creates; terms
-    that could then no longer stay within the truncation are never created.
+    `reserve` tells a gamma operator that `reserve` weights still to come,
+    its own slice's first, each add at least the size of each partition it
+    creates (`evaluate` reads it off the word); terms that could then no
+    longer stay within the truncation are never created.
     """
     kind = op[0]
     cap = 2 * state.trunc
@@ -331,28 +334,28 @@ def machine(name):
     return group_machine(parse_group(name))
 
 
-def evaluate(machine, trunc):
-    """Evaluate a slice table over the window [-trunc-1, trunc].
+def word(machine, trunc):
+    """A slice table's window [-trunc-1, trunc], top slice first, as (s, raising, primed, weight) records.
 
-    The walk runs from slice trunc down to -trunc-1; each slice applies its
-    creator, then its weight.  The extra lowest slice closes the walk so the
-    last weighted slice may be non-empty.  Any pile with a non-empty slice
-    outside the window has more than `trunc` boxes, so the window is
-    exhaustive at this truncation.
-
-    Each creator is told how many weights, counting its own slice's, will
-    each add at least the size of the partition it creates (the module
-    docstring gives the bound); terms that cannot stay within the
-    truncation are never created.
+    Slice s's creator raises for s >= 0 and lowers below.  Any pile with a
+    non-empty slice outside the window has more than `trunc` boxes, so the
+    window is exhaustive at this truncation.
     """
+    return tuple(
+        (s, s >= 0, primed, weight) for s in range(trunc, -trunc - 2, -1) for weight, primed in [machine.slices(s)]
+    )
+
+
+def evaluate(machine, trunc):
+    """Walk a slice table's word from the vacuum, each creator pruned by its reserve (module docstring)."""
     one = Monomial.one(machine.vars)
+    slices = word(machine, trunc)
+    reserves, run = [], 0
+    for _, raising, _, _ in reversed(slices):
+        run = run + 1 if raising else 0
+        reserves.append(run or 1)
     state = FockState.vacuum(machine.vars, trunc)
-    for s in range(trunc, -trunc - 2, -1):
-        weight, primed = machine.slices(s)
-        if s >= 0:
-            state = apply_op(state, gamma_minus(one, primed), reserve=s + 1)
-        else:
-            state = apply_op(state, gamma_plus(one, primed), reserve=1)
+    for (_, raising, primed, weight), reserve in zip(slices, reversed(reserves)):
+        state = apply_op(state, ("gamma", raising, primed, one), reserve=reserve)
         state = apply_op(state, weight)
     return state.amplitude(())
-

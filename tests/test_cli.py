@@ -157,6 +157,19 @@ def test_usage_errors_exit_2(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, usage",
+    [(["transfer", "nope", "-N", "3"], "usage: boxcount transfer "),
+     (["enum", "klein", "-N", str(cli.MAX_ENUM_TRUNC + 1)], "usage: boxcount enum ")],
+)
+def test_route_and_cap_errors_name_the_subcommand(capsys, argv, usage):
+    # as argparse's own errors on the subcommand's arguments do
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith(usage)
+
+
+@pytest.mark.parametrize(
     "argv",
     [["formula", "klein", "-N", "30"], ["transfer", "zn:2", "-N", "30"], ["dt", "zn:2", "-N", "30"],
      ["verify", "pair", "-N", "30"], ["verify", "pairing:zn:2", "-N", "30"]],

@@ -240,18 +240,17 @@ def test_transfer_machines_match_enumeration():
 
 
 # every slice table, plain and primed
-MACHINE_NAMES = ["zn:1", "zn:2", "zn:3", "z3diag", "klein", *fock.MACHINES]
+MACHINE_NAMES = ["zn:1", "zn:2", "zn:3", "zn:7", "z3diag", "klein", *fock.MACHINES]
 
 
 def unpruned_machine(machine, trunc):
-    """The slice table as one plain operator word, pruned only by size_cap."""
+    """The slice table's word applied record by record, pruned only by size_cap."""
     one = Monomial.one(machine.vars)
-    ops = []
-    for s in range(-trunc - 1, trunc + 1):
-        weight, primed = machine.slices(s)
-        ops.append(weight)
-        ops.append(gamma_minus(one, primed) if s >= 0 else gamma_plus(one, primed))
-    return apply_ops(FockState.vacuum(machine.vars, trunc), ops, size_cap=trunc).amplitude(())
+    state = FockState.vacuum(machine.vars, trunc)
+    for _, raising, primed, weight in fock.word(machine, trunc):
+        state = apply_op(state, ("gamma", raising, primed, one), size_cap=trunc)
+        state = apply_op(state, weight)
+    return state.amplitude(())
 
 
 @pytest.mark.parametrize("name", MACHINE_NAMES)
@@ -263,10 +262,24 @@ def test_degree_budget_pruning_is_exact(name):
         assert fock.evaluate(machine, trunc) == unpruned_machine(machine, trunc), trunc
 
 
+@pytest.mark.parametrize("name", MACHINE_NAMES)
+def test_pruning_check_catches_a_reserve_one_weight_too_strong(monkeypatch, name):
+    # evaluate calls apply_op through the module; unpruned_machine passes no reserve
+    exact = fock.apply_op
+
+    def too_strong(state, op, size_cap=None, reserve=0):
+        return exact(state, op, size_cap, reserve + 1 if reserve > 0 else 0)
+
+    monkeypatch.setattr(fock, "apply_op", too_strong)
+    machine = fock.machine(name)
+    assert any(fock.evaluate(machine, trunc) != unpruned_machine(machine, trunc) for trunc in range(9))
+
+
 def test_transfer_machines_match_closed_forms_at_depth():
     N = 24
     assert transfer("zn:2", N) == closed_zn(2, N)
     assert transfer("zn:3", N) == closed_zn(3, N)
+    assert transfer("zn:7", 18) == closed_zn(7, 18)
     assert transfer("z2z2", N) == closed_klein(N)
     pyramid = closed_pyramid(N)
     assert transfer("pyramid", N) == pyramid
@@ -280,15 +293,14 @@ COLOURED_GROUPS = [zn_group(n) for n in range(1, 8)] + [klein_group(), z3diag_gr
 def test_machine_cell_colours_equal_box_colours(group):
     # the machine reads its colours from the characters; colour_index is the
     # independent per-box reference.  Cell (i, j) of slice s is the box
-    # (i+s, i, j) for s >= 0 and (i, i-s, j) below.
+    # (i+s, i, j) on the raising slices s >= 0 and (i, i-s, j) below.
     machine = fock.machine(str(group))
     assert machine.vars == group.variables and machine.group == group
-    for s in range(-8, 9):
-        (kind, colours), primed = machine.slices(s)
+    for s, raising, primed, (kind, colours) in fock.word(machine, 8):
         assert kind == "weight" and not primed
         for i in range(8):
             for j in range(8):
-                box = (i + s, i, j) if s >= 0 else (i, i - s, j)
+                box = (i + s, i, j) if raising else (i, i - s, j)
                 assert colours[(j - i) % len(colours)] == colour_index(group, *box), (s, i, j)
 
 

@@ -375,6 +375,8 @@ CLI_DIGESTS = {
     ("transfer zn:3 -N 15", "json"): "58cc84ccbdcce89a39a0ec3da7952a72a1b5e33768c9a4e37322e9d9f18586bb",
     ("transfer pyramid-checkerboard -N 12", "json"): "8c5fdb1dbe38be2e77009e9a6524d8850b0b861ad8c57b693418335ff00d4519",
     ("transfer z3diag -N 12", "json"): "1139c2062c1df8ed53ada4f4bb1ed0faef075939b84dbf00be2b6140c2ca1930",
+    # the seven-colour machine, whose closed form is checked only at depth
+    ("transfer zn:7 -N 12", "json"): "e40240d2f94b60a3313ef73f3d60d1d68ddbbc87f3bda8c1d3280243742f25e8",
     # recorded before the writers streamed their text in blocks of keys in integer order
     ("formula klein -N 30", "csv"): "ba57ed683de72169b89ef8d265701b479bdfa2110dce7e89da7a3b0a6edd4d99",
     ("formula klein -N 12", "pretty"): "47774784484f1e0459241bf8406b981a98ee9c483e6fac54ec93eb0a1dc697f6",
