@@ -21,12 +21,12 @@ partition by the product of its cells' colour variables.
 Transfer machines are data.  A `Machine` is a slice table: its series
 variables, the box-pile colouring it counts (None for pyramid piles), and a
 function taking a slice index s to (weight operator, primed).  `word`
-alone decides the window s = N, ..., -N-1 and each slice's creator: it
+alone decides the window s = N-1, ..., -N and each slice's creator: it
 lists the records (s, raising, primed, weight), raising for s >= 0.  The
-one evaluator, `evaluate`, applies each record's creator (argument 1,
-conjugating first when primed), then its weight, from the vacuum.
-`MACHINES` holds the pyramid tables, and `machine(name)` builds every
-box-pile table from its group.
+one evaluator, `evaluate`, computes the word applied from the vacuum, each
+record's creator (argument 1, conjugating first when primed) then its
+weight, read back on the vacuum.  `MACHINES` holds the pyramid tables, and
+`machine(name)` builds every box-pile table from its group.
 
 A box-pile machine reads its colours from the group's characters alone.
 Cell (row i, column j) of slice s is the box (i+s, i, j) for s >= 0 and
@@ -35,21 +35,33 @@ gives it the digit (c*(j-i) + a*s) mod n for s >= 0 and
 (c*(j-i) + b*|s|) mod n below, so each slice's colour is a function of the
 cell content j - i modulo the lcm of the moduli with c != 0 mod n.
 
-The walk is pruned by a degree budget read off the word.  A raising step
-of either kind, plain or primed, yields a partition containing the one
-before it.  So a partition lam made by a creator that starts a run of r
-raising records is weighed at least |lam| by each of them: its reserve is
-r, which is s+1 for s >= 0.  A lowering creator's reserve is 1, its own
-slice's weight.  A term whose half-degree plus twice reserve * |lam|
-exceeds 2N cannot reach a coefficient of degree <= N, so the creator never
-produces it, nor any partner too large to fit the budget.
+The walk is pruned by one bound read off the word.  After a creator makes
+a partition lam, the least path down the rest of the word drops lam's
+first row at each plain lowering step, its first column at each primed
+one, and keeps it at each raising step; each weight adds the size of the
+partition the path has reached.  A lowering step of either kind reaches a
+partition containing that least partner, a raising step one containing
+lam, and each least partner is monotone under containment, so no path
+weighs less: lam still owes at least that many boxes, |lam| of them at its
+own slice.  A term whose half-degree plus twice what lam owes exceeds 2N
+cannot reach a coefficient of degree <= N, so the creator never produces
+it.  A lone box is owed once per weight before the first lowering step, so
+every box of a partner owes at least that often, which limits how large a
+raising creator's partners can be.  A bound blind to primedness, dropping a
+row at every lowering step, would overstate what the primed pyramid slices
+owe and drop live terms.
 
-No tail bound is used.  A plain lowering step keeps lam_(i+1) boxes in row
-i, so along plain slices below 0 the remaining weight is also at least
-sum((i-1) * lam_i).  A primed step removes a vertical strip instead and can
-shorten every row at once, so on the alternating plain/primed pyramid
-tables that bound overstates the remaining weight and drops live terms.
-Only the containment bound holds for both kinds of step.
+The walk meets in the middle.  The top of the word, slices N-1 down to a
+meeting slice m <= 0, is applied from the vacuum as it stands.  The bottom
+is read upward with the adjoint word: from the vacuum at slice -N, each
+record's weight (diagonal) and then its creator transposed, which is the
+creator of the other direction with the same primedness.  Going up, a
+raising record's least partner drops a row or column and a lowering one
+keeps lam, so the same bound prunes both walks.  The result is the sum over
+the partitions mu alive at m of the top amplitude times the bottom one.
+Below slice 0 a few partitions carry almost every amplitude, so walking
+them up from the vacuum and joining near slice 0 saves most of the work of
+carrying them down; m is a measured function of N.
 """
 
 from __future__ import annotations
@@ -182,6 +194,10 @@ def _partners_below(mu, primed):
     )
 
 
+def _nothing_owed(lam):
+    return 0
+
+
 def _act(state, moves):
     """The one loop every operator runs through.
 
@@ -196,14 +212,14 @@ def _act(state, moves):
     return FockState(state.vars, state.trunc, {lam: amp for lam, amp in out.items() if amp})
 
 
-def apply_op(state, op, size_cap=None, reserve=0):
+def apply_op(state, op, size_cap=None, owed=None):
     """Apply one operator: each kind only lists its moves for `_act`.
 
-    `size_cap` bounds the partitions a raising operator creates.  A positive
-    `reserve` tells a gamma operator that `reserve` weights still to come,
-    its own slice's first, each add at least the size of each partition it
-    creates (`evaluate` reads it off the word); terms that could then no
-    longer stay within the truncation are never created.
+    `size_cap` bounds the partitions a raising operator creates.  `owed`,
+    for a gamma operator, maps a partition it could create to the least
+    number of boxes that partition and the slices after it still add
+    (`evaluate` reads it off the word); terms that could then no longer stay
+    within the truncation are never created.
     """
     kind = op[0]
     cap = 2 * state.trunc
@@ -211,35 +227,38 @@ def apply_op(state, op, size_cap=None, reserve=0):
         _, grow, primed, arg = op
         if arg.vars != state.vars:
             raise ValueError("argument variables differ from the state's")
+        if owed is None:
+            owed = _nothing_owed
         shift = degree_shift(len(state.vars))
         key_arg = arg.packed()
-        # a partner delta boxes larger owes each of the `reserve` weights still to come
-        # delta more boxes (a smaller one, fewer), so its cap moves by step * delta and
-        # a box of delta costs its argument power less that move
-        step = -2 * reserve if grow else 2 * reserve
-        per_box = arg.degree_halves - step
+        halves = arg.degree_halves
+        # each box of a partner is owed at least as often as a lone box, so a partner
+        # delta boxes larger than mu costs at least per_box * delta more
+        lone = 2 * owed((1,))
+        per_box = halves + lone
         if grow and per_box <= 0 and size_cap is None:
             raise ValueError("raising with a degree-0 argument needs a size cap")
 
         def moves(mu, amp):
-            size = sum(mu)
-            base = cap - 2 * reserve * size
             # the least key has the least degree, since the half-degree lane is the most significant
-            room = base - (min(amp) >> shift)
+            low = min(amp) >> shift
             if not grow:
                 partners = _partners_below(mu, primed)
             elif per_box > 0:
+                size = sum(mu)
+                room = cap - low - lone * size
                 if room < 0:
                     return ()
                 limit = size + room // per_box
                 partners = _partners_above(mu, limit if size_cap is None else min(limit, size_cap), primed)
             else:
                 partners = _partners_above(mu, size_cap, primed)
-            return [
-                (lam, delta * key_arg, arg.sign if delta % 2 else 1, base + step * delta)
-                for lam, delta in partners
-                if per_box * delta <= room
-            ]
+            out = []
+            for lam, delta in partners:
+                lam_cap = cap - 2 * owed(lam)
+                if low + halves * delta <= lam_cap:
+                    out.append((lam, delta * key_arg, arg.sign if delta % 2 else 1, lam_cap))
+            return out
 
     elif kind == "weight":
         # a cell of colour c multiplies by q_c: its key is added once per cell
@@ -335,27 +354,93 @@ def machine(name):
 
 
 def word(machine, trunc):
-    """A slice table's window [-trunc-1, trunc], top slice first, as (s, raising, primed, weight) records.
+    """A slice table's window [-trunc, trunc-1], top slice first, as (s, raising, primed, weight) records.
 
-    Slice s's creator raises for s >= 0 and lowers below.  Any pile with a
-    non-empty slice outside the window has more than `trunc` boxes, so the
-    window is exhaustive at this truncation.
+    Slice s's creator raises for s >= 0 and lowers below.  A pile with a
+    cell on slice s has at least |s| + 1 cells: for box piles, cell (i, j)
+    of slice s is the box (i+s, i, j) or (i, i-s, j), which sits on the
+    boxes (t, 0, 0) for t <= s, or (0, t, 0) for t <= -s; for pyramid piles,
+    the diagonal x - z = s holds bricks of layers y >= |s| only, and each
+    brick rests on one brick of every layer below it.  So at this truncation
+    slices trunc and -trunc are empty: the walk starts from the vacuum above
+    slice trunc-1 and closes on slice -trunc.
     """
     return tuple(
-        (s, s >= 0, primed, weight) for s in range(trunc, -trunc - 2, -1) for weight, primed in [machine.slices(s)]
+        (s, s >= 0, primed, weight) for s in range(trunc - 1, -trunc - 1, -1) for weight, primed in [machine.slices(s)]
     )
 
 
+def _drop(lam, primed):
+    """The least partition a lowering step reaches: lam less its first row, or column when primed."""
+    return tuple(r - 1 for r in lam if r > 1) if primed else lam[1:]
+
+
+def _least_owed(ops):
+    """owed(lam, p): the least number of boxes the weights after ops[p] add to a partition lam there.
+
+    Along the greedy least path a weight adds the current partition's size,
+    a lowering gamma drops its first row (column when primed) and a raising
+    gamma keeps it.  Every such least partner is monotone under containment,
+    so no path after ops[p] weighs less.
+    """
+    ahead = []
+    weights, lower = 0, None
+    for p in range(len(ops) - 1, -1, -1):
+        ahead.append((weights, lower))
+        op = ops[p]
+        if op[0] == "weight":
+            weights += 1
+        elif not op[1]:
+            weights, lower = 0, p
+    ahead.reverse()
+
+    @lru_cache(maxsize=None)
+    def owed(lam, p):
+        weights, q = ahead[p]
+        rest = owed(_drop(lam, ops[q][2]), q) if q is not None and lam else 0
+        return weights * sum(lam) + rest
+
+    return owed
+
+
+def _meeting_slice(trunc):
+    """The slice m where `evaluate`'s two walks meet: the top walk ends at m, the bottom one just below.
+
+    Chosen from in-process CPU times on a 2-core box at N = 15 to 40.  The
+    best meeting lay between -1 and -6, deeper for larger N and shallower for
+    zn:7, whose seven-colour amplitudes make the join dear.  Meeting at 0
+    took up to 2.2x the best (klein, N = 36), not meeting up to 4.6x (zn:7,
+    N = 28).
+    """
+    return -(trunc // 10)
+
+
+def _walk(vars, trunc, ops, stop):
+    """Apply ops[:stop] to the vacuum, each gamma pruned by what the ops after it still owe."""
+    owed = _least_owed(ops)
+    state = FockState.vacuum(vars, trunc)
+    for p, op in enumerate(ops[:stop]):
+        if op[0] == "gamma":
+            state = apply_op(state, op, owed=lambda lam, p=p: owed(lam, p))
+        else:
+            state = apply_op(state, op)
+    return state
+
+
 def evaluate(machine, trunc):
-    """Walk a slice table's word from the vacuum, each creator pruned by its reserve (module docstring)."""
+    """Meet a walk down the word from the top and one up it from the bottom (module docstring)."""
     one = Monomial.one(machine.vars)
-    slices = word(machine, trunc)
-    reserves, run = [], 0
-    for _, raising, _, _ in reversed(slices):
-        run = run + 1 if raising else 0
-        reserves.append(run or 1)
-    state = FockState.vacuum(machine.vars, trunc)
-    for (_, raising, primed, weight), reserve in zip(slices, reversed(reserves)):
-        state = apply_op(state, ("gamma", raising, primed, one), reserve=reserve)
-        state = apply_op(state, weight)
-    return state.amplitude(())
+    records = word(machine, trunc)
+    down = [op for _, raising, primed, weight in records for op in (("gamma", raising, primed, one), weight)]
+    # the adjoint word: weights are diagonal and the transpose of a creator flips its direction
+    up = [op for _, raising, primed, weight in reversed(records) for op in (weight, ("gamma", not raising, primed, one))]
+    meet = _meeting_slice(trunc)
+    split = 2 * sum(s >= meet for s, _, _, _ in records)
+    top = _walk(machine.vars, trunc, down, split).amps
+    bottom = _walk(machine.vars, trunc, up, len(up) - split).amps
+    cap, shift = 2 * trunc, degree_shift(len(machine.vars))
+    out = {}
+    for mu, amp in top.items():
+        if mu in bottom:
+            _kernels.scale_accumulate(out, _kernels.mul_terms(amp, bottom[mu], cap, shift), 0, 1, cap, shift)
+    return Series(machine.vars, trunc, out, _trusted=True)

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxcount import fock, relations, young
+from boxcount import _kernels, fock, relations, young
 from boxcount.colouring import colour_index, klein_group, z3diag_group, zn_group
 from boxcount.dtsign import sign_map
 from boxcount.enum3d import coloured_series
@@ -262,24 +262,65 @@ def test_degree_budget_pruning_is_exact(name):
         assert fock.evaluate(machine, trunc) == unpruned_machine(machine, trunc), trunc
 
 
-@pytest.mark.parametrize("name", MACHINE_NAMES)
-def test_pruning_check_catches_a_reserve_one_weight_too_strong(monkeypatch, name):
-    # evaluate calls apply_op through the module; unpruned_machine passes no reserve
+def owing_more(monkeypatch, extra):
+    # evaluate calls apply_op through the module; unpruned_machine passes no bound
     exact = fock.apply_op
 
-    def too_strong(state, op, size_cap=None, reserve=0):
-        return exact(state, op, size_cap, reserve + 1 if reserve > 0 else 0)
+    def too_strong(state, op, size_cap=None, owed=None):
+        return exact(state, op, size_cap, owed and (lambda lam: owed(lam) + extra(lam)))
 
     monkeypatch.setattr(fock, "apply_op", too_strong)
+
+
+@pytest.mark.parametrize("name", MACHINE_NAMES)
+def test_pruning_check_catches_a_reserve_one_weight_too_strong(monkeypatch, name):
+    # the bound owes one more weight of every partition a creator makes
+    owing_more(monkeypatch, sum)
     machine = fock.machine(name)
     assert any(fock.evaluate(machine, trunc) != unpruned_machine(machine, trunc) for trunc in range(9))
+
+
+@pytest.mark.parametrize("name", MACHINE_NAMES)
+def test_pruning_check_catches_a_tail_one_box_too_strong(monkeypatch, name):
+    # the bound owes one box more for every non-empty partition a creator makes
+    owing_more(monkeypatch, lambda lam: 1 if lam else 0)
+    machine = fock.machine(name)
+    assert any(fock.evaluate(machine, trunc) != unpruned_machine(machine, trunc) for trunc in range(9))
+
+
+@pytest.mark.parametrize("name", MACHINE_NAMES)
+def test_every_meeting_slice_is_exact(monkeypatch, name):
+    # meeting at or below -trunc leaves the upward walk empty (no meeting), and
+    # meeting at trunc leaves the downward one empty
+    machine = fock.machine(name)
+    for trunc in range(9):
+        want = unpruned_machine(machine, trunc)
+        for meet in range(-trunc - 1, trunc + 1):
+            monkeypatch.setattr(fock, "_meeting_slice", lambda t, meet=meet: meet)
+            assert fock.evaluate(machine, trunc) == want, (trunc, meet)
+
+
+def test_transfer_walks_meet_below_slice_zero(monkeypatch):
+    # every gamma and the join's sum call the kernel through the module, so the
+    # wrapper sees every term read; the walk down the whole window read 55,723
+    fed = []
+    kernel = _kernels.scale_accumulate
+
+    def counting(dst, src, *args):
+        fed.append(len(src))
+        return kernel(dst, src, *args)
+
+    monkeypatch.setattr(_kernels, "scale_accumulate", counting)
+    series = fock.evaluate(fock.machine("z2z2"), 15)
+    assert sum(fed) <= 55_723 // 2
+    assert series == closed_klein(15)
 
 
 def test_transfer_machines_match_closed_forms_at_depth():
     N = 24
     assert transfer("zn:2", N) == closed_zn(2, N)
     assert transfer("zn:3", N) == closed_zn(3, N)
-    assert transfer("zn:7", 18) == closed_zn(7, 18)
+    assert transfer("zn:7", N) == closed_zn(7, N)
     assert transfer("z2z2", N) == closed_klein(N)
     pyramid = closed_pyramid(N)
     assert transfer("pyramid", N) == pyramid

@@ -377,6 +377,9 @@ CLI_DIGESTS = {
     ("transfer z3diag -N 12", "json"): "1139c2062c1df8ed53ada4f4bb1ed0faef075939b84dbf00be2b6140c2ca1930",
     # the seven-colour machine, whose closed form is checked only at depth
     ("transfer zn:7 -N 12", "json"): "e40240d2f94b60a3313ef73f3d60d1d68ddbbc87f3bda8c1d3280243742f25e8",
+    # deeper transfer walks, where a tail bound or a meeting slice could first drop a live term
+    ("transfer zn:7 -N 20", "json"): "6abb43b65d9c1ecab30acf3ca7c1232d4ecd6ac72c364527071e4a51b28c16a9",
+    ("transfer pyramid-checkerboard -N 20", "json"): "65fefffadf96dc8d1293db74d6a6ff79e12d421988825603e356fb81a66c677b",
     # recorded before the writers streamed their text in blocks of keys in integer order
     ("formula klein -N 30", "csv"): "ba57ed683de72169b89ef8d265701b479bdfa2110dce7e89da7a3b0a6edd4d99",
     ("formula klein -N 12", "pretty"): "47774784484f1e0459241bf8406b981a98ee9c483e6fac54ec93eb0a1dc697f6",
