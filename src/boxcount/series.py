@@ -22,7 +22,11 @@ the colour count of zn:7, the largest group built.
 
 `Series.to_json` and `Series.to_csv` make their text WRITE_BLOCK terms at a
 time and can hand each block to a stream as soon as it is made, so printing
-a series never holds its whole text.
+a series never holds its whole text.  A block is one `%` of the term form
+repeated, on the flat list of the block's values.  The module does not
+import json: `to_json` writes the header itself unless a variable name
+needs escaping, and `from_json` imports it when called.  `from_json_dict`
+reads only what `to_json_dict` writes, terms in canonical order.
 
 Every infinite product in the package is evaluated by one function,
 `euler_product(vars, trunc, factors)`: the product of (1 - u)**(-e) over a
@@ -34,7 +38,9 @@ walked upward it divides by it (e > 0), exactly, since every part already
 holds its quotient when it is read.  `Series.inverse` is the same upward pass.
 Since every pass is exact, the order of the factors only sets the work: a
 pass reads every part in reach once per term, so the factors with the most
-terms, the largest |e|, go first, while the product is still short.
+terms, the largest |e|, go first, while the product is still short.  Among
+equal |e| the polynomials go before the divisions: a downward pass reads
+the product it is given, an upward pass the product it makes.
 The MacMahon products `macmahon` and `macmahon_tilde` only build their
 factor lists and call `euler_product`.  They, `Series.inverse` and
 `Series.__pow__` remain only for the tests and the perfbench harness's
@@ -43,8 +49,8 @@ probes.
 
 from __future__ import annotations
 
-import json
 from math import comb
+from operator import add, sub
 
 from boxcount import _kernels
 
@@ -153,34 +159,33 @@ class Monomial:
     def packed(self):
         return _pack(self.halves)
 
+    # the results below are built by `_monomial`, unchecked: sums, products
+    # and signs of valid parts are valid, and a quotient is checked here
+
     def __mul__(self, other):
         if not isinstance(other, Monomial):
             return NotImplemented
         if other.vars != self.vars:
             raise ValueError("variable sets differ")
-        return Monomial(
-            self.vars,
-            tuple(a + b for a, b in zip(self.halves, other.halves)),
-            self.sign * other.sign,
-        )
+        return _monomial(self.vars, tuple(map(add, self.halves, other.halves)), self.sign * other.sign)
 
     def __truediv__(self, other):
         if not isinstance(other, Monomial):
             return NotImplemented
         if other.vars != self.vars:
             raise ValueError("variable sets differ")
-        halves = tuple(a - b for a, b in zip(self.halves, other.halves))
-        if any(h < 0 for h in halves):
+        halves = tuple(map(sub, self.halves, other.halves))
+        if min(halves) < 0:
             raise ValueError("division would produce a negative exponent")
-        return Monomial(self.vars, halves, self.sign * other.sign)
+        return _monomial(self.vars, halves, self.sign * other.sign)
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise ValueError("power must be a non-negative integer")
-        return Monomial(self.vars, tuple(h * k for h in self.halves), self.sign if k % 2 else 1)
+        return _monomial(self.vars, tuple([h * k for h in self.halves]), self.sign if k % 2 else 1)
 
     def __neg__(self):
-        return Monomial(self.vars, self.halves, -self.sign)
+        return _monomial(self.vars, self.halves, -self.sign)
 
     def __eq__(self, other):
         return (
@@ -195,6 +200,18 @@ class Monomial:
 
     def __repr__(self):
         return ("-" if self.sign < 0 else "") + _render_monomial(self.vars, self.halves)
+
+
+_set_vars, _set_halves, _set_sign = Monomial.vars.__set__, Monomial.halves.__set__, Monomial.sign.__set__
+
+
+def _monomial(vars, halves, sign):
+    """The Monomial of parts already known valid, built with no checks."""
+    mono = object.__new__(Monomial)
+    _set_vars(mono, vars)
+    _set_halves(mono, halves)
+    _set_sign(mono, sign)
+    return mono
 
 
 def _render_monomial(vars, halves):
@@ -489,9 +506,7 @@ class Series:
         steps = sorted((k >> shift, k, -c0 * c) for k, c in self._terms.items() if k)
         if steps:
             _pass(parts, steps, True, cap, shift)
-        for part in parts[1:]:
-            parts[0].update(part)
-        return Series(self.vars, self.trunc, parts[0], _trusted=True)
+        return Series(self.vars, self.trunc, _merge(parts), _trusted=True)
 
     def substitute_signs(self, names):
         """Substitute q -> -q for each variable named in `names`."""
@@ -529,21 +544,52 @@ class Series:
         With `out`, a text stream, the text is written to it WRITE_BLOCK
         terms at a time and None is returned; without it, it is returned.
         """
-        head = json.dumps({"vars": list(self.vars), "trunc": self.trunc})
+        if all(v.isascii() and v.isprintable() and '"' not in v and "\\" not in v for v in self.vars):
+            # json.dumps leaves these names as they are
+            names = ", ".join(f'"{v}"' for v in self.vars)
+        else:
+            import json
+
+            names = json.dumps(list(self.vars))[1:-1]
+        head = f'{{"vars": [{names}], "trunc": {self.trunc}, "terms": ['
         term = '{"exp": [' + ", ".join(["%d"] * len(self.vars)) + '], "coef": "%s"}'
-        return self._write(head[:-1] + ', "terms": [', term, ", ", "]}", False, out)
+        return self._write(head, term, ", ", "]}", False, out)
 
     @classmethod
     def from_json_dict(cls, data):
-        vars = tuple(data["vars"])
+        """The series of a document as `to_json_dict` makes it; ValueError
+        for anything else: non-int trunc or exponents, a coefficient that is
+        not a non-zero canonical decimal string, a term above trunc, or
+        terms not in strictly increasing canonical order."""
+        vars, trunc = data["vars"], data["trunc"]
+        if not isinstance(vars, list) or not all(isinstance(v, str) for v in vars):
+            raise ValueError("vars must be a list of names")
+        vars = tuple(vars)
+        if type(trunc) is not int or not 0 <= trunc <= MAX_TRUNC:
+            raise ValueError(f"trunc must be an integer in [0, {MAX_TRUNC}]")
         terms = {}
+        last = -1
         for item in data["terms"]:
-            exps = tuple(item["exp"])
-            terms[exps] = terms.get(exps, 0) + int(item["coef"])
-        return cls.from_terms(vars, int(data["trunc"]), terms)
+            exps, coef = item["exp"], item["coef"]
+            if not isinstance(exps, list) or len(exps) != len(vars):
+                raise ValueError("exponent list length does not match variables")
+            if any(type(e) is not int or e < 0 for e in exps):
+                raise ValueError("exponents must be non-negative integers")
+            if sum(exps) > trunc:
+                raise ValueError("term above the truncation order")
+            if not isinstance(coef, str) or coef == "0" or str(int(coef)) != coef:
+                raise ValueError(f"coefficient {coef!r} is not a non-zero canonical decimal string")
+            key = _pack([2 * e for e in exps])
+            if key <= last:
+                raise ValueError("terms are not in strictly increasing canonical order")
+            terms[key] = int(coef)
+            last = key
+        return cls(vars, trunc, terms, _trusted=True)
 
     @classmethod
     def from_json(cls, text):
+        import json
+
         return cls.from_json_dict(json.loads(text))
 
     def to_csv(self, out=None):
@@ -559,7 +605,8 @@ class Series:
         """Write `head`, then each term as `form` % (degree if `degree`,
         *whole exponents, coefficient) with `sep` between terms, then
         `tail`, in canonical order, to `out` one block at a time; with no
-        `out`, return the text."""
+        `out`, return the text.  Each block is one `%` of its terms' forms
+        joined by `sep` on the block's values in one flat list."""
         keys = self._sorted_whole()
         terms = self._terms
         m = len(self.vars) + degree
@@ -569,8 +616,12 @@ class Series:
         write = chunks.append if out is None else out.write
         write(head)
         for i in range(0, len(keys), WRITE_BLOCK):
-            rows = [form % (*((k >> 1) & low).to_bytes(m, "big"), terms[k]) for k in keys[i : i + WRITE_BLOCK]]
-            write(sep.join(rows) if i == 0 else sep + sep.join(rows))
+            block = keys[i : i + WRITE_BLOCK]
+            values = []
+            for k in block:
+                values += ((k >> 1) & low).to_bytes(m, "big")
+                values.append(terms[k])
+            write(((sep if i else "") + sep.join([form] * len(block))) % tuple(values))
         write(tail)
         return "".join(chunks) if out is None else None
 
@@ -600,6 +651,17 @@ def _pass(parts, steps, divide, cap, shift):
             _kernels.scale_accumulate(parts[D + dk], src, key, coef, cap, shift)
 
 
+def _merge(parts):
+    """The union of the disjoint dicts `parts`, as one of them; each other
+    part is dropped from the list as soon as it is merged, so the terms are
+    never held twice."""
+    whole = parts[0]
+    for D in range(1, len(parts)):
+        whole.update(parts[D])
+        parts[D] = None
+    return whole
+
+
 def euler_product(vars, trunc, factors):
     """The product of (1 - u)**(-e) over the (u, e) pairs in `factors`.
 
@@ -611,10 +673,13 @@ def euler_product(vars, trunc, factors):
     the pass multiplies by (1 - u)**n, for e > 0 it divides by it.  Every
     coefficient is an exact integer, so the order of the factors does not
     change the product.  It sets the work, as each pass reads every part in
-    reach once per term: the factors are taken in decreasing |e|, then
-    decreasing degree of u, so those with the most terms (on the resolution
-    side, the box factors (-q)**m with e = |G| * m) run while the product
-    is still short.  Packed u and then its sign break the remaining ties.
+    reach once per term: the factors are taken in decreasing |e|, so those
+    with the most terms (on the resolution side, the box factors (-q)**m
+    with e = |G| * m) run while the product is still short.  Among equal |e|
+    the polynomials (e < 0) go first, as the downward pass reads the product
+    before it is multiplied and the upward pass reads it after it is
+    divided; then decreasing degree of u, packed u and its sign break the
+    remaining ties.
     """
     _check_vars(vars)
     if not isinstance(trunc, int) or not 0 <= trunc <= MAX_TRUNC:
@@ -630,7 +695,7 @@ def euler_product(vars, trunc, factors):
         key = (u.degree_halves, u.packed(), u.sign)
         merged[key] = merged.get(key, 0) + e
     parts = [{0: 1}] + [{} for _ in range(cap)]  # parts[D] is the half-degree-D part
-    order = sorted(merged.items(), key=lambda item: (abs(item[1]), item[0]), reverse=True)
+    order = sorted(merged.items(), key=lambda item: (abs(item[1]), item[1] < 0, item[0]), reverse=True)
     for (d, key, sign), e in order:
         if not e or d > cap:
             continue  # the factor is 1
@@ -641,9 +706,7 @@ def euler_product(vars, trunc, factors):
             for j in range(1, min(n, cap // d) + 1)
         ]
         _pass(parts, steps, e > 0, cap, shift)
-    for part in parts[1:]:
-        parts[0].update(part)
-    return Series(vars, trunc, parts[0], _trusted=True)
+    return Series(vars, trunc, _merge(parts), _trusted=True)
 
 
 def macmahon_factors(x, q, trunc, two_sided=False):

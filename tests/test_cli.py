@@ -292,12 +292,15 @@ def loaded_modules(*args, code):
 
 
 def test_enumeration_loads_no_closed_form_or_transfer_module():
-    # every series subcommand, not only enumeration, loads just the modules its route runs
+    # every series subcommand, not only enumeration, loads just the modules its
+    # route runs, and no format, not even json, imports json
     for command, own in SUBCOMMAND_MODULES.items():
-        argv = [*command.split(), "-N", "3"]
-        loaded = loaded_modules(code=f"from boxcount import cli; cli.main({argv!r})")
         expected = {"boxcount", *(f"boxcount.{m}" for m in ("_kernels", "cli", "colouring", "series", *own))}
-        assert {m for m in loaded if m.split(".")[0] == "boxcount"} == expected, command
+        for fmt in ("pretty", "json", "csv"):
+            argv = [*command.split(), "-N", "3", "--format", fmt]
+            loaded = loaded_modules(code=f"from boxcount import cli; cli.main({argv!r})")
+            assert {m for m in loaded if m.split(".")[0] == "boxcount"} == expected, argv
+            assert "json" not in loaded, argv
 
 
 def test_startup_imports_no_dataclasses_or_inspect():
@@ -308,8 +311,8 @@ def test_startup_imports_no_dataclasses_or_inspect():
         code="import boxcount.cli, boxcount.enum3d, boxcount.pyramid, boxcount.dtsign, boxcount.fock, boxcount.formulas\n"
              "boxcount.cli.main(['sign', 'zn:3', '-N', '4', '--format', 'json'])",
     )
-    assert {"argparse", "json", "boxcount.fock", "boxcount.formulas"} <= loaded
-    assert sorted(loaded & {"dataclasses", "inspect"}) == []
+    assert {"argparse", "boxcount.fock", "boxcount.formulas"} <= loaded
+    assert sorted(loaded & {"dataclasses", "inspect", "json"}) == []
 
 
 def test_closed_pipe_exits_141_quietly():

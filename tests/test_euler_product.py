@@ -99,10 +99,9 @@ def test_product_does_not_depend_on_factor_order(case, data):
     assert euler_product(vars, trunc, A + B) == euler_product(vars, trunc, A) * euler_product(vars, trunc, B)
 
 
-def test_resolution_factors_run_most_steps_first(monkeypatch):
-    # every pass calls the kernel through the module, so the wrapper sees every
-    # term read; the box factors (-q)**m, e = 4m, run over the longest product
-    # when taken highest degree first, and the passes then read 139,291 terms
+def kernel_terms(monkeypatch, evaluate, *args):
+    """The terms `evaluate(*args)` feeds to the kernel: every pass calls it
+    through the module, so the wrapper sees every term read."""
     fed = []
     kernel = _kernels.scale_accumulate
 
@@ -111,8 +110,31 @@ def test_resolution_factors_run_most_steps_first(monkeypatch):
         return kernel(dst, src, *args)
 
     monkeypatch.setattr(_kernels, "scale_accumulate", counting)
-    formulas.dt_resolution(klein_group(), 28)
-    assert sum(fed) <= 90_000
+    evaluate(*args)
+    return sum(fed)
+
+
+def test_resolution_factors_run_most_steps_first(monkeypatch):
+    # the box factors (-q)**m, e = 4m, run over the longest product when
+    # taken highest degree first, and the passes then read 139,291 terms;
+    # taking the polynomials before the divisions of equal |e| reads 74,484
+    assert kernel_terms(monkeypatch, formulas.dt_resolution, klein_group(), 28) <= 75_000
+
+
+@pytest.mark.parametrize(
+    "evaluate, args, bound",
+    [
+        # 26,164, 13,899 and 19,800 terms with the divisions of equal |e| first
+        (formulas.closed_orbifold, (klein_group(), 30), 22_500),
+        (formulas.closed_pyramid, (30,), 13_000),
+        (formulas.dt_resolution_paired, (klein_group(), 28), 17_200),
+    ],
+    ids=["formula klein", "formula pyramid", "dt klein paired"],
+)
+def test_polynomial_factors_run_before_divisions(monkeypatch, evaluate, args, bound):
+    # a polynomial pass leaves the product no longer than a division pass of
+    # the same |e|, so taking it first shortens what the division reads
+    assert kernel_terms(monkeypatch, evaluate, *args) <= bound
 
 
 def test_equal_factors_merge():

@@ -94,6 +94,35 @@ def test_monomial_rendering():
     assert "g^(1/2)" in repr(m)
 
 
+@st.composite
+def monomial_pairs(draw):
+    """Two signed monomials with half-unit exponents on one variable tuple."""
+    vars = tuple(draw(st.lists(st.sampled_from("qxyzuvw"), min_size=1, max_size=MAX_VARS, unique=True)))
+    halves = st.tuples(*[st.integers(0, 9)] * len(vars))
+    signs = st.sampled_from((1, -1))
+    return Monomial(vars, draw(halves), draw(signs)), Monomial(vars, draw(halves), draw(signs))
+
+
+@given(monomial_pairs(), st.integers(0, 5))
+@settings(max_examples=100, deadline=None)
+def test_monomial_operations_match_the_validating_constructor(pair, k):
+    a, b = pair
+    V = a.vars
+    assert a * b == Monomial(V, [x + y for x, y in zip(a.halves, b.halves)], a.sign * b.sign)
+    assert a**k == Monomial(V, [k * x for x in a.halves], a.sign**k)
+    assert -a == Monomial(V, a.halves, -a.sign)
+    assert (a * b) / b == Monomial(V, a.halves, a.sign)
+    for result in (a * b, a**k, -a, (a * b) / b):
+        assert type(result.halves) is tuple and result.vars is V
+    if any(x < y for x, y in zip(a.halves, b.halves)):
+        with pytest.raises(ValueError, match="negative exponent"):
+            a / b
+    other = Monomial(V[:-1] + ("t",), a.halves)
+    for op in (lambda: a * other, lambda: a / other, lambda: other * a, lambda: other / a):
+        with pytest.raises(ValueError, match="variable sets differ"):
+            op()
+
+
 def test_series_inverse():
     V = ("q",)
     q = Monomial.var(V, "q")
@@ -285,6 +314,67 @@ def any_series(draw):
 @settings(max_examples=150, deadline=None)
 def test_json_writer_matches_json_dumps(s):
     assert s.to_json() == json.dumps(s.to_json_dict())
+
+
+@given(any_series())
+@example(Series.zero(("q",), 0))
+@example(Series.from_terms(("%d", "y%s"), 5, {(0, 0): 3, (2, 3): -(2**70)}))
+@settings(max_examples=150, deadline=None)
+def test_csv_writer_matches_line_by_line_reference(s):
+    header = "degree," + ",".join(f"exponent_{v}" for v in s.vars) + ",coefficient\n"
+    lines = [f"{sum(exps)},{','.join(map(str, exps))},{coef}\n" for exps, coef in s.iter_whole()]
+    assert s.to_csv() == header + "".join(lines)
+
+
+def _document(change=None):
+    """The JSON document of 3 - 5*y^2 + 2*x*y on (x, y) to degree 3, after
+    `change`, if given, changed it in place."""
+    data = Series.from_terms(("x", "y"), 3, {(0, 0): 3, (0, 2): -5, (1, 1): 2}).to_json_dict()
+    if change:
+        change(data)
+    return data
+
+
+def _set(*path):
+    def change(data):
+        *keys, last, value = path
+        for key in keys:
+            data = data[key]
+        data[last] = value
+
+    return change
+
+
+REJECTED_DOCUMENTS = {
+    "trunc float": _set("trunc", 3.9),
+    "trunc bool": _set("trunc", True),
+    "exponent float": _set("terms", 1, "exp", [0.0, 2]),
+    "exponent bool": _set("terms", 2, "exp", [True, 1]),
+    "coef float": _set("terms", 1, "coef", 2.7),
+    "coef int": _set("terms", 1, "coef", 4),
+    "coef bool": _set("terms", 1, "coef", True),
+    "coef padded": _set("terms", 1, "coef", " 4 "),
+    "coef leading zero": _set("terms", 1, "coef", "05"),
+    "coef underscore": _set("terms", 1, "coef", "1_0"),
+    "coef plus sign": _set("terms", 1, "coef", "+4"),
+    "coef zero": _set("terms", 1, "coef", "0"),
+    "coef negative zero": _set("terms", 1, "coef", "-0"),
+    "exponent repeated": _set("terms", 2, "exp", [0, 2]),
+    "terms out of order": lambda data: data["terms"].reverse(),
+    "term above trunc": lambda data: data["terms"].append({"exp": [0, 4], "coef": "1"}),
+    "vars string": _set("vars", "xy"),
+    "vars not strings": _set("vars", ["x", 1]),
+}
+
+
+def test_reader_takes_the_unchanged_document():
+    assert Series.from_json_dict(_document()) == Series.from_terms(("x", "y"), 3, {(0, 0): 3, (0, 2): -5, (1, 1): 2})
+
+
+@pytest.mark.parametrize("change", REJECTED_DOCUMENTS.values(), ids=REJECTED_DOCUMENTS)
+def test_reader_rejects_what_the_writer_never_writes(change):
+    with pytest.raises(ValueError):
+        Series.from_json_dict(_document(change))
 
 
 @given(any_series())
