@@ -3,7 +3,8 @@
 A pile is a finite set of boxes closed under coordinate decrease, that is,
 an order ideal of the boxes of the octant.  `coloured_series` counts the
 piles as the order ideals of the cells with (x+1)(y+1)(z+1) <= N, by one
-reverse-search walk (`boxcount.ideals`), and never builds a pile object.
+reverse-search walk (`boxcount.ideals.key_series`) that sums each pile's
+colour key as it goes, and never builds a pile object or its cell list.
 
 `Diagram3D` stores a pile by its diagonal slices instead: the partition
 pi_k collects the heights along the diagonal x - y = k, and a family of
@@ -169,7 +170,8 @@ def coloured_series(group, trunc):
     A pile of at most `trunc` boxes lies in the cells with
     (x+1)(y+1)(z+1) <= trunc, so the piles are the order ideals of those
     cells under coordinate decrease, and each cell adds its packed colour
-    and degree to the key of every pile that holds it.
+    and degree to the key of every pile that holds it: `ideals.key_series`
+    counts the piles by key in one walk.
     """
     cells = sorted(
         ((x, y, z) for x in range(trunc) for y in range(trunc // (x + 1)) for z in range(trunc // ((x + 1) * (y + 1)))),
@@ -180,13 +182,4 @@ def coloured_series(group, trunc):
         [index[p] for p in ((x - 1, y, z), (x, y - 1, z), (x, y, z - 1)) if p in index] for x, y, z in cells
     ]
     step = [var_key(group.order, colouring.colour_index(group, *c)) for c in cells]
-    # keys[k] is the key of the first k cells of the current ideal; each
-    # ideal of k cells extends the last one yielded of k - 1
-    keys = [0] * (trunc + 1)
-    terms = {}
-    for ideal in ideals.order_ideals(parents, trunc):
-        k = len(ideal)
-        if k:
-            keys[k] = keys[k - 1] + step[ideal[-1]]
-        terms[keys[k]] = terms.get(keys[k], 0) + 1
-    return Series(group.variables, trunc, terms, _trusted=True)
+    return Series(group.variables, trunc, ideals.key_series(parents, step, trunc), _trusted=True)

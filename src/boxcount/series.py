@@ -114,9 +114,9 @@ class Monomial:
         if len(halves) != len(vars):
             raise ValueError("exponent count does not match variable count")
         for h in halves:
-            if not isinstance(h, int) or h < 0:
+            if type(h) is not int or h < 0:
                 raise ValueError("exponents must be non-negative integers (in half-units)")
-        if sign not in (1, -1):
+        if type(sign) is not int or sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
         object.__setattr__(self, "vars", vars)
         object.__setattr__(self, "halves", halves)
@@ -240,7 +240,7 @@ class Series:
 
     def __init__(self, vars, trunc, terms=None, _trusted=False):
         _check_vars(vars)
-        if not isinstance(trunc, int) or not 0 <= trunc <= MAX_TRUNC:
+        if type(trunc) is not int or not 0 <= trunc <= MAX_TRUNC:
             raise ValueError(f"trunc must be an integer in [0, {MAX_TRUNC}]")
         object.__setattr__(self, "vars", vars)
         object.__setattr__(self, "trunc", trunc)
@@ -251,7 +251,7 @@ class Series:
             shift = degree_shift(len(vars))
             clean = {}
             for k, c in terms.items():
-                if not isinstance(c, int):
+                if type(c) is not int:
                     raise ValueError("coefficients must be ints")
                 if c and (k >> shift) <= cap:
                     clean[k] = c
@@ -285,8 +285,10 @@ class Series:
         for exps, coef in terms.items():
             if len(exps) != len(vars):
                 raise ValueError("exponent tuple length does not match variables")
-            if any(not isinstance(e, int) or e < 0 for e in exps):
+            if any(type(e) is not int or e < 0 for e in exps):
                 raise ValueError("exponents must be non-negative integers")
+            if type(coef) is not int:
+                raise ValueError("coefficients must be ints")
             key = _pack(tuple(2 * e for e in exps))
             if coef:
                 packed[key] = packed.get(key, 0) + coef
@@ -682,7 +684,7 @@ def euler_product(vars, trunc, factors):
     remaining ties.
     """
     _check_vars(vars)
-    if not isinstance(trunc, int) or not 0 <= trunc <= MAX_TRUNC:
+    if type(trunc) is not int or not 0 <= trunc <= MAX_TRUNC:
         raise ValueError(f"trunc must be an integer in [0, {MAX_TRUNC}]")
     cap = 2 * trunc
     shift = degree_shift(len(vars))

@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxcount import colouring
+from boxcount import colouring, pyramid
+from boxcount.colouring import KLEIN_VARS
 from boxcount.enum3d import coloured_series, enumerate_diagrams
-from boxcount.ideals import order_ideals
-from boxcount.pyramid import PyramidPartition, enumerate_pyramids
-from boxcount.series import Series, _pack
+from boxcount.ideals import key_series, order_ideals
+from boxcount.pyramid import PyramidPartition, enumerate_pyramids, pyramid_series
+from boxcount.series import Series, _pack, var_key
 
 
 @st.composite
@@ -50,6 +51,30 @@ def test_each_ideal_extends_the_last_one_yielded_one_element_shorter(parents):
 def test_limit_zero_yields_only_the_empty_ideal():
     assert [list(i) for i in order_ideals([[], [0], [0, 1]], 0)] == [[]]
     assert [list(i) for i in order_ideals([], 0)] == [[]]
+    assert key_series([[], [0], [0, 1]], [1, 2, 4], 0) == {0: 1}
+    assert key_series([], [], 3) == {0: 1}
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_key_series_counts_the_step_sums_of_every_ideal(data):
+    parents = data.draw(posets())
+    step = data.draw(st.lists(st.integers(-4, 9), min_size=len(parents), max_size=len(parents)))
+    for limit in range(len(parents) + 2):
+        expected = {}
+        for ideal in brute_force_ideals(parents, limit):
+            key = sum(step[i] for i in ideal)
+            expected[key] = expected.get(key, 0) + 1
+        assert key_series(parents, step, limit) == expected
+
+
+@pytest.mark.parametrize("N", range(13))
+def test_brick_key_series_is_the_pyramid_series(N):
+    bricks = [b for y in range(N) for b in pyramid.layer_bricks(y)]
+    index = {b: i for i, b in enumerate(bricks)}
+    parents = [[index[p] for p in pyramid.parents(b)] for b in bricks]
+    step = [var_key(len(KLEIN_VARS), pyramid.colour_index(b)) for b in bricks]
+    assert Series(KLEIN_VARS, N, key_series(parents, step, N)) == pyramid_series(N)
 
 
 def tallied_series(group, trunc):

@@ -377,6 +377,24 @@ def test_reader_rejects_what_the_writer_never_writes(change):
         Series.from_json_dict(_document(change))
 
 
+BOOL_ARGUMENTS = {
+    "monomial exponent": lambda: Monomial(("x",), (True,)),
+    "monomial sign": lambda: Monomial(("x",), (2,), sign=True),
+    "from_terms exponent": lambda: Series.from_terms(("x",), 3, {(True,): 1}),
+    "from_terms coefficient": lambda: Series.from_terms(("x",), 3, {(1,): True}),
+    "series coefficient": lambda: Series(("x",), 3, {0: True}),
+    "series trunc": lambda: Series(("x",), True, {0: 1}),
+    "euler_product trunc": lambda: euler_product(("x",), True, [(Monomial(("x",), (2,)), 1)]),
+}
+
+
+@pytest.mark.parametrize("build", BOOL_ARGUMENTS.values(), ids=BOOL_ARGUMENTS)
+def test_constructors_refuse_bools_as_ints(build):
+    # a bool coefficient would be written as "True", which the reader refuses
+    with pytest.raises(ValueError):
+        build()
+
+
 @given(any_series())
 @settings(max_examples=60, deadline=None)
 def test_items_come_in_degree_then_exponent_order(s):
@@ -475,6 +493,11 @@ CLI_DIGESTS = {
     ("formula klein -N 12", "pretty"): "47774784484f1e0459241bf8406b981a98ee9c483e6fac54ec93eb0a1dc697f6",
     ("dt zn:3 -N 12 --side resolution --max-terms 500", "pretty"):
         "71a92e19793709ce252c98338919fb85f75b1478148ef15881448d45c6e06a5e",
+    # the enumerations of the perfbench `enumerate` workload, at its depth, recorded
+    # while each pile was still yielded to its consumer as a list of cells
+    ("enum klein -N 15", "json"): "15d6346f9e8785674046492cbe2074f5ce9f874194d6245e313f2fef9c4c7761",
+    ("sign zn:3 -N 14", "json"): "1aa10f00df6b4e88c568becc36c2bd772d2999a9104c5988cfb08eaabcbb6bf6",
+    ("enum zn:7 -N 14", "json"): "5e4ccb6e086edf511233d04ed312bb26a67e2f56b897d6adbb0612eb6677db17",
 }
 
 
