@@ -2,14 +2,14 @@
 
 Terms live in plain dicts mapping a packed integer key to an arbitrary
 precision integer coefficient.  `boxcount.series` lays the keys out: the
-total half-degree sits above bit `shift`, which every kernel takes as an
+total degree sits above bit `shift`, which every kernel takes as an
 argument, so a degree test is a shift and a compare, and multiplying
 monomials is integer addition of keys.
 
-Each lane of a key is at most the key's half-degree, so the sum of two
-keys whose half-degrees add up to at most cap <= 126 has every lane at
-most 126 < 256: no lane carries, and the sum is below (cap + 1) << shift.
-A sum whose half-degrees add up to more than `cap` is at least that
+Each lane of a key is at most the key's degree, so the sum of two keys
+whose degrees add up to at most cap <= 63 has every lane at most
+63 < 256: no lane carries, and the sum is below (cap + 1) << shift.
+A sum whose degrees add up to more than `cap` is at least that
 total shifted into the top lane, so at least (cap + 1) << shift.  Hence
 `scale_accumulate` drops a term with the one comparison
 k >= ((cap + 1) << shift) - key_add, its limit formed once per call.
@@ -20,14 +20,14 @@ BACKEND = "python"
 
 
 def mul_terms(a, b, cap, shift):
-    """Multiply two term dicts, dropping products above half-degree `cap`."""
+    """Multiply two term dicts, dropping products above degree `cap`."""
     out = {}
     if not a or not b:
         return out
     if len(a) > len(b):
         a, b = b, a
     # the buckets pay: one scale_accumulate per term of a measured 5x slower on klein(30)*pyramid(30), 12x on zn(5,16)^2
-    # bucket the larger operand by half-degree so the inner loop is flat
+    # bucket the larger operand by degree so the inner loop is flat
     buckets = {}
     for k, c in b.items():
         buckets.setdefault(k >> shift, []).append((k, c))

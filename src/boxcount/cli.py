@@ -130,8 +130,8 @@ def _report(name_a, a, name_b, b):
     if d is None:
         print(f"ok: {name_a} == {name_b} up to degree {min(a.trunc, b.trunc)}")
         return 0
-    halves, ca, cb = d
-    mono = Monomial(a.vars, halves, 1)
+    exps, ca, cb = d
+    mono = Monomial(a.vars, exps, 1)
     print(f"MISMATCH at {mono}: {name_a} has {ca}, {name_b} has {cb}")
     return 1
 

@@ -43,11 +43,11 @@ partition the path has reached.  A lowering step of either kind reaches a
 partition containing that least partner, a raising step one containing
 lam, and each least partner is monotone under containment, so no path
 weighs less: lam still owes at least that many boxes, |lam| of them at its
-own slice.  A term whose half-degree plus twice what lam owes exceeds 2N
-cannot reach a coefficient of degree <= N, so the creator never produces
-it.  A lone box is owed once per weight before the first lowering step, so
-every box of a partner owes at least that often, which limits how large a
-raising creator's partners can be.  A bound blind to primedness, dropping a
+own slice.  A term whose degree plus what lam owes exceeds N cannot reach
+a coefficient of degree <= N, so the creator never produces it.  A lone
+box is owed once per weight before the first lowering step, so every box
+of a partner owes at least that often, which limits how large a raising
+creator's partners can be.  A bound blind to primedness, dropping a
 row at every lowering step, would overstate what the primed pyramid slices
 owe and drop live terms.
 
@@ -105,11 +105,10 @@ class FockState(NamedTuple):
             series = Series.from_monomial(series, self.trunc)
         if series.vars != self.vars:
             raise ValueError("variable sets differ")
-        cap = 2 * self.trunc
         shift = degree_shift(len(self.vars))
         out = {}
         for lam, amp in self.amps.items():
-            prod = _kernels.mul_terms(amp, series._terms, cap, shift)
+            prod = _kernels.mul_terms(amp, series._terms, self.trunc, shift)
             if prod:
                 out[lam] = prod
         return FockState(self.vars, self.trunc, out)
@@ -119,11 +118,10 @@ class FockState(NamedTuple):
             return NotImplemented
         if other.vars != self.vars or other.trunc != self.trunc:
             raise ValueError("states live in different rings")
-        cap = 2 * self.trunc
         shift = degree_shift(len(self.vars))
         out = {lam: dict(amp) for lam, amp in self.amps.items()}
         for lam, amp in other.amps.items():
-            _kernels.scale_accumulate(out.setdefault(lam, {}), amp, 0, 1, cap, shift)
+            _kernels.scale_accumulate(out.setdefault(lam, {}), amp, 0, 1, self.trunc, shift)
         return FockState(self.vars, self.trunc, {l: a for l, a in out.items() if a})
 
     def is_zero(self):
@@ -202,7 +200,7 @@ def _act(state, moves):
     """The one loop every operator runs through.
 
     For each (lam, key, coef, cap) in moves(mu, amp), coef times x^key times
-    mu's amplitude amp is added into lam's, keeping half-degrees <= cap.
+    mu's amplitude amp is added into lam's, keeping degrees <= cap.
     """
     shift = degree_shift(len(state.vars))
     out = {}
@@ -222,7 +220,7 @@ def apply_op(state, op, size_cap=None, owed=None):
     within the truncation are never created.
     """
     kind = op[0]
-    cap = 2 * state.trunc
+    cap = state.trunc
     if kind == "gamma":
         _, grow, primed, arg = op
         if arg.vars != state.vars:
@@ -231,16 +229,16 @@ def apply_op(state, op, size_cap=None, owed=None):
             owed = _nothing_owed
         shift = degree_shift(len(state.vars))
         key_arg = arg.packed()
-        halves = arg.degree_halves
+        degree = arg.degree
         # each box of a partner is owed at least as often as a lone box, so a partner
         # delta boxes larger than mu costs at least per_box * delta more
-        lone = 2 * owed((1,))
-        per_box = halves + lone
+        lone = owed((1,))
+        per_box = degree + lone
         if grow and per_box <= 0 and size_cap is None:
             raise ValueError("raising with a degree-0 argument needs a size cap")
 
         def moves(mu, amp):
-            # the least key has the least degree, since the half-degree lane is the most significant
+            # the least key has the least degree, since the degree lane is the most significant
             low = min(amp) >> shift
             if not grow:
                 partners = _partners_below(mu, primed)
@@ -255,8 +253,8 @@ def apply_op(state, op, size_cap=None, owed=None):
                 partners = _partners_above(mu, size_cap, primed)
             out = []
             for lam, delta in partners:
-                lam_cap = cap - 2 * owed(lam)
-                if low + halves * delta <= lam_cap:
+                lam_cap = cap - owed(lam)
+                if low + degree * delta <= lam_cap:
                     out.append((lam, delta * key_arg, arg.sign if delta % 2 else 1, lam_cap))
             return out
 
@@ -438,9 +436,9 @@ def evaluate(machine, trunc):
     split = 2 * sum(s >= meet for s, _, _, _ in records)
     top = _walk(machine.vars, trunc, down, split).amps
     bottom = _walk(machine.vars, trunc, up, len(up) - split).amps
-    cap, shift = 2 * trunc, degree_shift(len(machine.vars))
+    shift = degree_shift(len(machine.vars))
     out = {}
     for mu, amp in top.items():
         if mu in bottom:
-            _kernels.scale_accumulate(out, _kernels.mul_terms(amp, bottom[mu], cap, shift), 0, 1, cap, shift)
+            _kernels.scale_accumulate(out, _kernels.mul_terms(amp, bottom[mu], trunc, shift), 0, 1, trunc, shift)
     return Series(machine.vars, trunc, out, _trusted=True)

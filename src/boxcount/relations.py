@@ -90,14 +90,15 @@ def _even_part():
 
 
 def _even_weight_displays():
-    """A two-colour weight moves through an even part at the geometric mean."""
+    """A two-colour weight moves through an even part at the geometric mean
+    of its colours; applied twice, it displaces the argument by their product."""
     V = ("x", "g", "h")
     x = Monomial.var(V, "x")
-    xsqrt = Monomial.from_half_exponents(V, {"x": 2, "g": 1, "h": 1})
-    W = weight_op(1, 2)
+    xgh = Monomial.from_exponents(V, {"x": 1, "g": 1, "h": 1})
+    WW = [weight_op(1, 2)] * 2
     return V, [
-        ("minus", [W] + even_minus(x), even_minus(xsqrt) + [W], None),
-        ("plus", even_plus(x) + [W], [W] + even_plus(xsqrt), None),
+        ("minus", WW + even_minus(x), even_minus(xgh) + WW, None),
+        ("plus", even_plus(x) + WW, WW + even_plus(xgh), None),
     ]
 
 
@@ -137,9 +138,9 @@ CATALOGUE = {
 
 # The least truncation at which every exchange case tells the rule's two cases
 # apart: (1 - u)^-1 and 1 + u first differ at u^2, so a case shows a swapped rule
-# from twice its lowest factor degree, which is that factor's degree in half-units.
+# from twice its lowest factor degree.
 MIN_TRUNC = max(
-    min(u.degree_halves for u, _ in exchange_factors(*split))
+    2 * min(u.degree for u, _ in exchange_factors(*split))
     for _, cases in CATALOGUE.values()
     for *_, split in cases
     if split is not None

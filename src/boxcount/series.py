@@ -1,24 +1,24 @@
 """Truncated multivariate power series with exact integer coefficients.
 
-Exponents are tracked in half-units so that operator arguments like the
-square root of a product of two variables stay exact; a series itself only
-ever holds whole-unit (even half-count) exponents once it is serialized.
+Every exponent is a whole number: the operator arguments of the transfer
+machines and the closed forms are all whole monomials, as each colour
+weight is carried by a weight operator rather than by a square root.
 
 Terms are stored sparsely in a dict keyed by a packed integer: one 8-bit
-lane per variable holding the half-unit exponent, plus the total
-half-degree in the lane above them.  Adding keys multiplies monomials, and
-the truncation test is a shift.  Variable 0 sits in the highest lane below
-the half-degree and the last variable in lane 0, so a key's bytes, most
-significant first, read (half-degree, exponent of variable 0, ..., of the
-last): integer order of the keys is the canonical term order, by degree
-and then by exponents from the first variable.  The writers therefore sort
-plain ints, and `diff` takes the least differing key.  Only this module
-knows the layout; others use `degree_shift`, `var_key` and
-`Monomial.packed`.  No lane may carry into the next, which is why
-truncation order is at most 63: a kept term's half-exponents and
-half-degree are at most 126 < 256, and the kernels drop a product above the
-cap before adding its key.  MAX_VARS = 7 is not needed by the layout; it is
-the colour count of zn:7, the largest group built.
+lane per variable holding its exponent, plus the total degree in the lane
+above them.  Adding keys multiplies monomials, and the truncation test is
+a shift.  Variable 0 sits in the highest lane below the degree and the
+last variable in lane 0, so a key's bytes, most significant first, read
+(degree, exponent of variable 0, ..., of the last): integer order of the
+keys is the canonical term order, by degree and then by exponents from the
+first variable.  The writers therefore sort plain ints, and `diff` takes
+the least differing key.  Only this module knows the layout; others use
+`degree_shift`, `var_key` and `Monomial.packed`.  No lane may carry into
+the next: a kept term's exponents and degree are at most its truncation
+order, and the kernels drop a product above the cap before adding its key,
+so any order up to 255 would fit the lanes.  MAX_TRUNC = 63 is the range
+the package accepts, not a layout limit, as MAX_VARS = 7 is the colour
+count of zn:7, the largest group built.
 
 `Series.to_json` and `Series.to_csv` make their text WRITE_BLOCK terms at a
 time and can hand each block to a stream as soon as it is made, so printing
@@ -31,7 +31,7 @@ reads only what `to_json_dict` writes, terms in canonical order.
 Every infinite product in the package is evaluated by one function,
 `euler_product(vars, trunc, factors)`: the product of (1 - u)**(-e) over a
 list of (signed monomial u of positive degree, integer e) pairs, built by
-changing its parts by half-degree in place, one merged factor at a time.
+changing its parts by degree in place, one merged factor at a time.
 Each factor is one pass (`_pass`) over the terms of (1 - u)**|e| cut at
 the cap: walked from the top down it multiplies by that polynomial (e < 0),
 walked upward it divides by it (e > 0), exactly, since every part already
@@ -57,7 +57,7 @@ from boxcount import _kernels
 MAX_VARS = 7
 MAX_TRUNC = 63
 # bits per exponent lane of a packed key: one byte, so `int.to_bytes(m + 1, "big")`
-# unpacks a key on m variables to (half-degree, half-exponents...)
+# unpacks a key on m variables to (degree, exponents...)
 _LANE = 8
 # terms per block of text that the writers make and write at once
 WRITE_BLOCK = 128
@@ -75,28 +75,26 @@ def _check_vars(vars):
             raise ValueError(f"bad variable name {v!r}")
 
 
+def _check_trunc(trunc):
+    if type(trunc) is not int or not 0 <= trunc <= MAX_TRUNC:
+        raise ValueError(f"trunc must be an integer in [0, {MAX_TRUNC}]")
+
+
 def degree_shift(nvars):
-    """Bit offset of the half-degree lane in a key on `nvars` variables."""
+    """Bit offset of the degree lane in a key on `nvars` variables."""
     return _LANE * nvars
 
 
-def _pack(halves):
+def _pack(exps):
     key = 0
-    total = 0
-    for h in halves:
-        key = (key << _LANE) | h
-        total += h
-    return key | (total << degree_shift(len(halves)))
+    for e in exps:
+        key = (key << _LANE) | e
+    return key | (sum(exps) << degree_shift(len(exps)))
 
 
 def var_key(nvars, i):
     """The key of variable i to the power 1 on `nvars` variables."""
-    return _pack([2 if j == i else 0 for j in range(nvars)])
-
-
-def _half_units(nvars):
-    """The mask of every lane's half-unit bit."""
-    return sum(1 << (_LANE * i) for i in range(nvars))
+    return _pack([1 if j == i else 0 for j in range(nvars)])
 
 
 def _unpack(key, nvars):
@@ -104,22 +102,22 @@ def _unpack(key, nvars):
 
 
 class Monomial:
-    """A signed monomial with half-unit exponents in a fixed variable set."""
+    """A signed monomial in a fixed variable set."""
 
-    __slots__ = ("vars", "halves", "sign")
+    __slots__ = ("vars", "exps", "sign")
 
-    def __init__(self, vars, halves, sign=1):
+    def __init__(self, vars, exps, sign=1):
         _check_vars(vars)
-        halves = tuple(halves)
-        if len(halves) != len(vars):
+        exps = tuple(exps)
+        if len(exps) != len(vars):
             raise ValueError("exponent count does not match variable count")
-        for h in halves:
-            if type(h) is not int or h < 0:
-                raise ValueError("exponents must be non-negative integers (in half-units)")
+        for e in exps:
+            if type(e) is not int or e < 0:
+                raise ValueError("exponents must be non-negative integers")
         if type(sign) is not int or sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
         object.__setattr__(self, "vars", vars)
-        object.__setattr__(self, "halves", halves)
+        object.__setattr__(self, "exps", exps)
         object.__setattr__(self, "sign", sign)
 
     def __setattr__(self, name, value):
@@ -131,33 +129,26 @@ class Monomial:
 
     @classmethod
     def var(cls, vars, name, power=1):
-        """The monomial name**power (power in whole units)."""
+        """The monomial name**power."""
         return cls.from_exponents(vars, {name: power})
 
     @classmethod
     def from_exponents(cls, vars, exps, sign=1):
-        """Build from a mapping of variable name to whole-unit exponent."""
-        return cls.from_half_exponents(vars, {k: 2 * v for k, v in exps.items()}, sign)
-
-    @classmethod
-    def from_half_exponents(cls, vars, half_exps, sign=1):
-        halves = [0] * len(vars)
-        for name, h in half_exps.items():
+        """Build from a mapping of variable name to exponent."""
+        full = [0] * len(vars)
+        for name, e in exps.items():
             try:
-                halves[vars.index(name)] = h
+                full[vars.index(name)] = e
             except ValueError:
                 raise ValueError(f"unknown variable {name!r}") from None
-        return cls(vars, halves, sign)
+        return cls(vars, full, sign)
 
     @property
-    def degree_halves(self):
-        return sum(self.halves)
-
-    def is_integral(self):
-        return all(h % 2 == 0 for h in self.halves)
+    def degree(self):
+        return sum(self.exps)
 
     def packed(self):
-        return _pack(self.halves)
+        return _pack(self.exps)
 
     # the results below are built by `_monomial`, unchecked: sums, products
     # and signs of valid parts are valid, and a quotient is checked here
@@ -167,69 +158,60 @@ class Monomial:
             return NotImplemented
         if other.vars != self.vars:
             raise ValueError("variable sets differ")
-        return _monomial(self.vars, tuple(map(add, self.halves, other.halves)), self.sign * other.sign)
+        return _monomial(self.vars, tuple(map(add, self.exps, other.exps)), self.sign * other.sign)
 
     def __truediv__(self, other):
         if not isinstance(other, Monomial):
             return NotImplemented
         if other.vars != self.vars:
             raise ValueError("variable sets differ")
-        halves = tuple(map(sub, self.halves, other.halves))
-        if min(halves) < 0:
+        exps = tuple(map(sub, self.exps, other.exps))
+        if min(exps) < 0:
             raise ValueError("division would produce a negative exponent")
-        return _monomial(self.vars, halves, self.sign * other.sign)
+        return _monomial(self.vars, exps, self.sign * other.sign)
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise ValueError("power must be a non-negative integer")
-        return _monomial(self.vars, tuple([h * k for h in self.halves]), self.sign if k % 2 else 1)
+        return _monomial(self.vars, tuple([e * k for e in self.exps]), self.sign if k % 2 else 1)
 
     def __neg__(self):
-        return _monomial(self.vars, self.halves, -self.sign)
+        return _monomial(self.vars, self.exps, -self.sign)
 
     def __eq__(self, other):
         return (
             isinstance(other, Monomial)
             and self.vars == other.vars
-            and self.halves == other.halves
+            and self.exps == other.exps
             and self.sign == other.sign
         )
 
     def __hash__(self):
-        return hash((self.vars, self.halves, self.sign))
+        return hash((self.vars, self.exps, self.sign))
 
     def __repr__(self):
-        return ("-" if self.sign < 0 else "") + _render_monomial(self.vars, self.halves)
+        return ("-" if self.sign < 0 else "") + _render_monomial(self.vars, self.exps)
 
 
-_set_vars, _set_halves, _set_sign = Monomial.vars.__set__, Monomial.halves.__set__, Monomial.sign.__set__
+_set_vars, _set_exps, _set_sign = Monomial.vars.__set__, Monomial.exps.__set__, Monomial.sign.__set__
 
 
-def _monomial(vars, halves, sign):
+def _monomial(vars, exps, sign):
     """The Monomial of parts already known valid, built with no checks."""
     mono = object.__new__(Monomial)
     _set_vars(mono, vars)
-    _set_halves(mono, halves)
+    _set_exps(mono, exps)
     _set_sign(mono, sign)
     return mono
 
 
-def _render_monomial(vars, halves):
-    parts = []
-    for name, h in zip(vars, halves):
-        if h == 0:
-            continue
-        if h == 2:
-            parts.append(name)
-        elif h % 2 == 0:
-            parts.append(f"{name}^{h // 2}")
-        else:
-            parts.append(f"{name}^({h}/2)")
+def _render_monomial(vars, exps):
+    parts = [name if e == 1 else f"{name}^{e}" for name, e in zip(vars, exps) if e]
     return "*".join(parts) if parts else "1"
 
 
 class Series:
-    """A power series truncated at total whole-unit degree `trunc`.
+    """A power series truncated at total degree `trunc`.
 
     Instances are immutable; every operation returns a new series.  Binary
     operations require identical variable tuples and truncate the result to
@@ -240,20 +222,18 @@ class Series:
 
     def __init__(self, vars, trunc, terms=None, _trusted=False):
         _check_vars(vars)
-        if type(trunc) is not int or not 0 <= trunc <= MAX_TRUNC:
-            raise ValueError(f"trunc must be an integer in [0, {MAX_TRUNC}]")
+        _check_trunc(trunc)
         object.__setattr__(self, "vars", vars)
         object.__setattr__(self, "trunc", trunc)
         if terms is None:
             terms = {}
         elif not _trusted:
-            cap = 2 * trunc
             shift = degree_shift(len(vars))
             clean = {}
             for k, c in terms.items():
                 if type(c) is not int:
                     raise ValueError("coefficients must be ints")
-                if c and (k >> shift) <= cap:
+                if c and (k >> shift) <= trunc:
                     clean[k] = c
             terms = clean
         object.__setattr__(self, "_terms", terms)
@@ -273,13 +253,13 @@ class Series:
 
     @classmethod
     def from_monomial(cls, mono, trunc, coef=1):
-        if coef == 0 or mono.degree_halves > 2 * trunc:
+        if coef == 0 or mono.degree > trunc:
             return cls.zero(mono.vars, trunc)
         return cls(mono.vars, trunc, {mono.packed(): coef * mono.sign}, _trusted=True)
 
     @classmethod
     def from_terms(cls, vars, trunc, terms):
-        """Build from a mapping of whole-unit exponent tuples to coefficients."""
+        """Build from a mapping of exponent tuples to coefficients."""
         _check_vars(vars)
         packed = {}
         for exps, coef in terms.items():
@@ -289,7 +269,7 @@ class Series:
                 raise ValueError("exponents must be non-negative integers")
             if type(coef) is not int:
                 raise ValueError("coefficients must be ints")
-            key = _pack(tuple(2 * e for e in exps))
+            key = _pack(exps)
             if coef:
                 packed[key] = packed.get(key, 0) + coef
         return cls(vars, trunc, {k: c for k, c in packed.items() if c})
@@ -307,30 +287,16 @@ class Series:
         return self._terms == {0: 1}
 
     def coefficient(self, exps):
-        """Coefficient of the whole-unit exponent tuple `exps`."""
+        """Coefficient of the exponent tuple `exps`."""
         if len(exps) != len(self.vars):
             raise ValueError("exponent tuple length does not match variables")
-        return self._terms.get(_pack(tuple(2 * e for e in exps)), 0)
-
-    def _sorted_whole(self):
-        """The keys in canonical order; ValueError on a half-integer exponent."""
-        half = _half_units(len(self.vars))
-        if any(k & half for k in self._terms):
-            raise ValueError("series has half-integer exponents")
-        return sorted(self._terms)
+        return self._terms.get(_pack(exps), 0)
 
     def items(self):
-        """Yield (half-exponent tuple, coefficient) in canonical order."""
+        """Yield (exponent tuple, coefficient) in canonical order."""
         m = len(self.vars)
         for k in sorted(self._terms):
             yield _unpack(k, m), self._terms[k]
-
-    def iter_whole(self):
-        """Yield (whole-unit exponent tuple, coefficient) in canonical order."""
-        m = len(self.vars)
-        for k in self._sorted_whole():
-            # with no half-unit bit set, one shift halves every lane at once
-            yield _unpack(k >> 1, m), self._terms[k]
 
     def __len__(self):
         return len(self._terms)
@@ -352,13 +318,13 @@ class Series:
     def diff(self, other):
         """First differing term against `other` up to the common truncation.
 
-        Returns None if the two agree, else (half-exponents, self coefficient,
+        Returns None if the two agree, else (exponents, self coefficient,
         other coefficient) for the canonically first mismatch.
         """
         if self.vars != other.vars:
             raise ValueError("variable sets differ")
         m = len(self.vars)
-        cap = 2 * min(self.trunc, other.trunc)
+        cap = min(self.trunc, other.trunc)
         shift = self._shift
         a, b = self._terms, other._terms
         differ = [k for k in a.keys() | b.keys() if (k >> shift) <= cap and a.get(k, 0) != b.get(k, 0)]
@@ -369,11 +335,11 @@ class Series:
 
     def pretty(self, max_terms=None):
         parts = []
-        for halves, coef in self.items():
+        for exps, coef in self.items():
             if max_terms is not None and len(parts) >= max_terms:
                 parts.append("...")
                 break
-            mono = _render_monomial(self.vars, halves)
+            mono = _render_monomial(self.vars, exps)
             mag = abs(coef)
             if mono == "1":
                 body = str(mag)
@@ -408,12 +374,11 @@ class Series:
             if trunc == self.trunc:
                 return self
             raise ValueError("cannot raise the truncation order")
-        cap = 2 * trunc
         shift = self._shift
         return Series(
             self.vars,
             trunc,
-            {k: c for k, c in self._terms.items() if (k >> shift) <= cap},
+            {k: c for k, c in self._terms.items() if (k >> shift) <= trunc},
             _trusted=True,
         )
 
@@ -422,11 +387,10 @@ class Series:
         if rhs is None:
             return NotImplemented
         trunc = min(self.trunc, rhs.trunc)
-        cap = 2 * trunc
         shift = self._shift
         out = {}
-        _kernels.scale_accumulate(out, self._terms, 0, 1, cap, shift)
-        _kernels.scale_accumulate(out, rhs._terms, 0, 1, cap, shift)
+        _kernels.scale_accumulate(out, self._terms, 0, 1, trunc, shift)
+        _kernels.scale_accumulate(out, rhs._terms, 0, 1, trunc, shift)
         return Series(self.vars, trunc, out, _trusted=True)
 
     __radd__ = __add__
@@ -464,7 +428,7 @@ class Series:
             if other.vars != self.vars:
                 raise ValueError("variable sets differ")
             trunc = min(self.trunc, other.trunc)
-            terms = _kernels.mul_terms(self._terms, other._terms, 2 * trunc, self._shift)
+            terms = _kernels.mul_terms(self._terms, other._terms, trunc, self._shift)
             return Series(self.vars, trunc, terms, _trusted=True)
         return NotImplemented
 
@@ -475,7 +439,7 @@ class Series:
             raise ValueError("variable sets differ")
         out = {}
         _kernels.scale_accumulate(
-            out, self._terms, mono.packed(), coef * mono.sign, 2 * self.trunc, self._shift
+            out, self._terms, mono.packed(), coef * mono.sign, self.trunc, self._shift
         )
         return Series(self.vars, self.trunc, out, _trusted=True)
 
@@ -503,11 +467,10 @@ class Series:
         if c0 not in (1, -1):
             raise ValueError("inverse requires constant term +1 or -1")
         shift = self._shift
-        cap = 2 * self.trunc
-        parts = [{0: c0}] + [{} for _ in range(cap)]
+        parts = [{0: c0}] + [{} for _ in range(self.trunc)]
         steps = sorted((k >> shift, k, -c0 * c) for k, c in self._terms.items() if k)
         if steps:
-            _pass(parts, steps, True, cap, shift)
+            _pass(parts, steps, True, self.trunc, shift)
         return Series(self.vars, self.trunc, _merge(parts), _trusted=True)
 
     def substitute_signs(self, names):
@@ -524,20 +487,17 @@ class Series:
         """Negate each coefficient whose monomial's odd-exponent bitmask q
         (bit i for variable i) has odd[q] true."""
         m = len(self.vars)
-        # bit 0 of a lane is its half-unit; bit 1 is its whole exponent mod 2
-        halves = _half_units(m)
         out = {}
         for key, c in self._terms.items():
-            if key & halves:
-                raise ValueError("sign substitution on a half-integer exponent")
-            q = sum(((key >> (_LANE * (m - 1 - i) + 1)) & 1) << i for i in range(m))
+            # bit 0 of a lane is its exponent mod 2
+            q = sum(((key >> (_LANE * (m - 1 - i))) & 1) << i for i in range(m))
             out[key] = -c if odd[q] else c
         return Series(self.vars, self.trunc, out, _trusted=True)
 
     # -- serialization ---------------------------------------------------
 
     def to_json_dict(self):
-        terms = [{"exp": list(exps), "coef": str(coef)} for exps, coef in self.iter_whole()]
+        terms = [{"exp": list(exps), "coef": str(coef)} for exps, coef in self.items()]
         return {"vars": list(self.vars), "trunc": self.trunc, "terms": terms}
 
     def to_json(self, out=None):
@@ -567,8 +527,7 @@ class Series:
         if not isinstance(vars, list) or not all(isinstance(v, str) for v in vars):
             raise ValueError("vars must be a list of names")
         vars = tuple(vars)
-        if type(trunc) is not int or not 0 <= trunc <= MAX_TRUNC:
-            raise ValueError(f"trunc must be an integer in [0, {MAX_TRUNC}]")
+        _check_trunc(trunc)
         terms = {}
         last = -1
         for item in data["terms"]:
@@ -581,7 +540,7 @@ class Series:
                 raise ValueError("term above the truncation order")
             if not isinstance(coef, str) or coef == "0" or str(int(coef)) != coef:
                 raise ValueError(f"coefficient {coef!r} is not a non-zero canonical decimal string")
-            key = _pack([2 * e for e in exps])
+            key = _pack(exps)
             if key <= last:
                 raise ValueError("terms are not in strictly increasing canonical order")
             terms[key] = int(coef)
@@ -605,14 +564,14 @@ class Series:
 
     def _write(self, head, form, sep, tail, degree, out):
         """Write `head`, then each term as `form` % (degree if `degree`,
-        *whole exponents, coefficient) with `sep` between terms, then
+        *exponents, coefficient) with `sep` between terms, then
         `tail`, in canonical order, to `out` one block at a time; with no
         `out`, return the text.  Each block is one `%` of its terms' forms
         joined by `sep` on the block's values in one flat list."""
-        keys = self._sorted_whole()
+        keys = sorted(self._terms)
         terms = self._terms
         m = len(self.vars) + degree
-        # the halved key's low m bytes: the exponents, after the degree if `degree`
+        # the key's low m bytes: the exponents, after the degree if `degree`
         low = (1 << (_LANE * m)) - 1
         chunks = []
         write = chunks.append if out is None else out.write
@@ -621,7 +580,7 @@ class Series:
             block = keys[i : i + WRITE_BLOCK]
             values = []
             for k in block:
-                values += ((k >> 1) & low).to_bytes(m, "big")
+                values += (k & low).to_bytes(m, "big")
                 values.append(terms[k])
             write(((sep if i else "") + sep.join([form] * len(block))) % tuple(values))
         write(tail)
@@ -635,8 +594,8 @@ def _pass(parts, steps, divide, cap, shift):
     """Multiply the parts by 1 + S, or divide them by 1 - S if `divide`, in
     place, where S is the sum of `steps`.
 
-    `parts[D]` holds the half-degree-D terms, and each step is a term
-    (half-degree dk > 0, packed monomial, coefficient) of S, sorted by dk.
+    `parts[D]` holds the degree-D terms, and each step is a term
+    (degree dk > 0, packed monomial, coefficient) of S, sorted by dk.
     The pass adds each step times part D into part D + dk.  Walked from the
     top down, each part is read before any lower part adds into it, so the
     parts are multiplied by 1 + S.  Walked upward, g = f / (1 - S) solves
@@ -669,9 +628,9 @@ def euler_product(vars, trunc, factors):
 
     Each u is a signed monomial of positive degree on `vars` and each e an
     integer of either sign.  Equal signed u are merged by summing their e.
-    The product is kept as its parts by half-degree and changed in place by
+    The product is kept as its parts by degree and changed in place by
     one factor at a time, in one `_pass` over the terms C(n, j) * (-u)**j,
-    1 <= j <= min(n, cap // deg u), of (1 - u)**n with n = |e|: for e < 0
+    1 <= j <= min(n, trunc // deg u), of (1 - u)**n with n = |e|: for e < 0
     the pass multiplies by (1 - u)**n, for e > 0 it divides by it.  Every
     coefficient is an exact integer, so the order of the factors does not
     change the product.  It sets the work, as each pass reads every part in
@@ -684,30 +643,28 @@ def euler_product(vars, trunc, factors):
     remaining ties.
     """
     _check_vars(vars)
-    if type(trunc) is not int or not 0 <= trunc <= MAX_TRUNC:
-        raise ValueError(f"trunc must be an integer in [0, {MAX_TRUNC}]")
-    cap = 2 * trunc
+    _check_trunc(trunc)
     shift = degree_shift(len(vars))
-    merged = {}  # (half-degree of u, packed u, sign of u) -> summed e
+    merged = {}  # (degree of u, packed u, sign of u) -> summed e
     for u, e in factors:
         if u.vars != vars:
             raise ValueError("variable sets differ")
-        if u.degree_halves == 0:
+        if u.degree == 0:
             raise ValueError("factor argument must have positive degree")
-        key = (u.degree_halves, u.packed(), u.sign)
+        key = (u.degree, u.packed(), u.sign)
         merged[key] = merged.get(key, 0) + e
-    parts = [{0: 1}] + [{} for _ in range(cap)]  # parts[D] is the half-degree-D part
+    parts = [{0: 1}] + [{} for _ in range(trunc)]  # parts[D] is the degree-D part
     order = sorted(merged.items(), key=lambda item: (abs(item[1]), item[1] < 0, item[0]), reverse=True)
     for (d, key, sign), e in order:
-        if not e or d > cap:
+        if not e or d > trunc:
             continue  # the factor is 1
         n = abs(e)
         # dividing by 1 + S is dividing by 1 - (-S)
         steps = [
             (j * d, j * key, (-1 if e > 0 else 1) * comb(n, j) * (-sign) ** j)
-            for j in range(1, min(n, cap // d) + 1)
+            for j in range(1, min(n, trunc // d) + 1)
         ]
-        _pass(parts, steps, e > 0, cap, shift)
+        _pass(parts, steps, e > 0, trunc, shift)
     return Series(vars, trunc, _merge(parts), _trusted=True)
 
 
@@ -716,21 +673,20 @@ def macmahon_factors(x, q, trunc, two_sided=False):
     `two_sided`, up to the last factor of degree at most `trunc`."""
     if x.vars != q.vars:
         raise ValueError("variable sets differ")
-    if q.degree_halves == 0:
+    if q.degree == 0:
         raise ValueError("q must have positive degree")
-    cap = 2 * trunc
     factors = []
     m = 1
-    while x.degree_halves + m * q.degree_halves <= cap:
+    while x.degree + m * q.degree <= trunc:
         factors.append((x * q**m, m))
         m += 1
     m = 1
     while two_sided:
         # the mirror factors (1 - x**(-1) * q**m)**(-m)
         u = q**m / x  # raises if x does not divide q**m
-        if u.degree_halves > cap:
+        if u.degree > trunc:
             break
-        if u.degree_halves == 0:
+        if u.degree == 0:
             raise ValueError("mirror factor has degree 0; truncation is not well defined")
         factors.append((u, m))
         m += 1

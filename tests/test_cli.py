@@ -12,6 +12,7 @@ from boxcount import cli, enum3d, pyramid, relations
 from boxcount.colouring import zn_group
 from boxcount.enum3d import coloured_series
 from boxcount.formulas import closed_zn
+from boxcount.series import Series
 
 
 def run(capsys, *argv):
@@ -196,6 +197,14 @@ def test_mismatch_reporting(capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert out.startswith("MISMATCH at 1:") and "left has 1" in out and "right has 2" in out
+    # past the constant term the report names the monomial diff's exponents give
+    a = Series.from_terms(("q",), 4, {(0,): 1, (1,): 2, (2,): 5})
+    b = Series.from_terms(("q",), 4, {(0,): 1, (1,): 2, (2,): 6})
+    assert cli._report("left", a, "right", b) == 1
+    assert capsys.readouterr().out == "MISMATCH at q^2: left has 5, right has 6\n"
+    c = Series.from_terms(("x", "y"), 4, {(1, 2): 3})
+    assert cli._report("left", c, "right", Series.zero(("x", "y"), 4)) == 1
+    assert capsys.readouterr().out == "MISMATCH at x*y^2: left has 3, right has 0\n"
 
 
 # a lost range check would start the whole computation, so these run in a

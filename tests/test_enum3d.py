@@ -48,7 +48,7 @@ def test_volume_counts_fixture():
 
 
 def series_coeffs(s):
-    return {e: c for e, c in s.iter_whole()}
+    return {e: c for e, c in s.items()}
 
 
 def test_coloured_fixtures():

@@ -210,8 +210,27 @@ def test_gamma_degree_pruning_matches_plain_application():
 
 
 def test_relation_catalogue_smoke():
-    for name, ok, witness in relations.run_all(trunc=5, max_basis=3):
+    for name, ok, witness in relations.run_all(trunc=relations.MIN_TRUNC, max_basis=3):
         assert ok, (name, witness)
+
+
+@pytest.mark.parametrize("wrong", [{"x": 1, "g": 2}, {"x": 1, "h": 2}], ids=["xg^2", "xh^2"])
+def test_even_weight_row_rejects_a_wrong_displacement(wrong):
+    # two weights move an even part from x to x*g*h; displaced to x*g^2 or x*h^2
+    # instead, each case fails at MIN_TRUNC, and one degree lower none does
+    V, cases = relations.CATALOGUE["even-weight"]
+    xgh = Monomial.from_exponents(V, {"x": 1, "g": 1, "h": 1})
+    bad = Monomial.from_exponents(V, wrong)
+
+    def mutate(word):
+        swap = {xgh: bad, -xgh: -bad}
+        return [op[:3] + (swap[op[3]],) if op[0] == "gamma" and op[3] in swap else op for op in word]
+
+    for case, left, right, _ in cases:
+        assert mutate(right) != right, case
+        assert fock.check_relation(V, relations.MIN_TRUNC, left, right, max_basis=3)[0], case
+        assert not fock.check_relation(V, relations.MIN_TRUNC, left, mutate(right), max_basis=3)[0], case
+        assert fock.check_relation(V, relations.MIN_TRUNC - 1, left, mutate(right), max_basis=3)[0], case
 
 
 def test_catalogue_scalars_follow_the_exchange_rule(monkeypatch):

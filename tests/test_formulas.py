@@ -46,7 +46,7 @@ def test_euler_numbers():
     # the prefactor M(1, q)**|G| on every side of the wall
     for g in (zn_group(4), klein_group()):
         for rows in (formulas.orbifold_rows(g), formulas.resolution_rows(g), formulas.resolution_rows(g, True)):
-            assert rows[0][0].degree_halves == 0 and rows[0][2] == 4
+            assert rows[0][0].degree == 0 and rows[0][2] == 4
     assert formulas.pyramid_rows()[0][2] == 4
 
 

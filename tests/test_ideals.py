@@ -81,10 +81,10 @@ def tallied_series(group, trunc):
     # the slice-chain enumeration, coloured box by box
     terms = {}
     for d in enumerate_diagrams(trunc):
-        halves = [0] * group.order
+        exps = [0] * group.order
         for x, y, z in d.boxes():
-            halves[colouring.colour_index(group, x, y, z)] += 2
-        key = _pack(halves)
+            exps[colouring.colour_index(group, x, y, z)] += 1
+        key = _pack(exps)
         terms[key] = terms.get(key, 0) + 1
     return Series(group.variables, trunc, terms)
 

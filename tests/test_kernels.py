@@ -1,7 +1,7 @@
 """_kernels.scale_accumulate called directly, on keys packed by Monomial.
 
 The kernel drops a term by one comparison of its key against a limit; the
-reference here unpacks nothing and decides by the half-degrees of the
+reference here unpacks nothing and decides by the degrees of the
 monomials, so it shares no arithmetic on keys with the kernel.
 """
 
@@ -15,8 +15,8 @@ V = ("x", "y")
 SHIFT = degree_shift(len(V))
 
 
-def key(*halves):
-    return Monomial(V, halves).packed()
+def key(*exps):
+    return Monomial(V, exps).packed()
 
 
 def test_cap_is_kept_and_cap_plus_one_dropped_with_degree_zero_add():
@@ -34,11 +34,11 @@ def test_cap_is_kept_and_cap_plus_one_dropped_with_positive_degree_add():
 
 
 def test_cap_at_the_largest_truncation_with_one_full_lane():
-    # every half-degree in one lane: the kept sum's lane reaches 126, the dropped one 127
-    cap = 2 * MAX_TRUNC
+    # every degree in one lane: the kept sum's lane reaches 63, the dropped one 64
+    cap = MAX_TRUNC
     dst = {}
-    scale_accumulate(dst, {key(100, 0): 1, key(101, 0): 1, key(0, 100): 1}, key(26, 0), 1, cap, SHIFT)
-    assert dst == {key(126, 0): 1, key(26, 100): 1}
+    scale_accumulate(dst, {key(50, 0): 1, key(51, 0): 1, key(0, 50): 1}, key(13, 0), 1, cap, SHIFT)
+    assert dst == {key(63, 0): 1, key(13, 50): 1}
 
 
 def test_key_add_above_cap_drops_everything():
@@ -62,25 +62,22 @@ def test_negative_coefficient_scales_every_term():
     assert dst == {key(0, 2): -6, key(1, 3): 15}
 
 
-halves = st.tuples(st.integers(0, 2 * MAX_TRUNC), st.integers(0, 2 * MAX_TRUNC)).filter(
-    lambda h: sum(h) <= 2 * MAX_TRUNC
-)
+exps = st.tuples(st.integers(0, MAX_TRUNC), st.integers(0, MAX_TRUNC)).filter(lambda e: sum(e) <= MAX_TRUNC)
 
 
 @given(
-    st.dictionaries(halves, st.integers(-9, 9).filter(bool), max_size=8),
-    halves,
+    st.dictionaries(exps, st.integers(-9, 9).filter(bool), max_size=8),
+    exps,
     st.integers(-3, 3).filter(bool),
     st.integers(0, MAX_TRUNC),
 )
 @settings(max_examples=200, deadline=None)
 def test_matches_a_product_of_monomials(src, add, coef, trunc):
-    cap = 2 * trunc
     dst = {}
-    scale_accumulate(dst, {key(*h): c for h, c in src.items()}, key(*add), coef, cap, SHIFT)
+    scale_accumulate(dst, {key(*e): c for e, c in src.items()}, key(*add), coef, trunc, SHIFT)
     want = {}
-    for h, c in src.items():
-        m = Monomial(V, h) * Monomial(V, add)
-        if m.degree_halves <= cap:
+    for e, c in src.items():
+        m = Monomial(V, e) * Monomial(V, add)
+        if m.degree <= trunc:
             want[m.packed()] = coef * c
     assert dst == want

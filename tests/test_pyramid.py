@@ -40,7 +40,7 @@ def test_counts_fixture():
 
 
 def test_coloured_fixture():
-    got = {e: c for e, c in pyramid_series(7).iter_whole()}
+    got = {e: c for e, c in pyramid_series(7).items()}
     assert got == PYRAMID_COLOURS_7
 
 
