@@ -12,10 +12,11 @@ significant.  Three actions are supported:
   x ^ 2y ^ 3z and composition is bitwise xor;
 * ``z3diag`` -- ((3, (1, 1, 1)),): colouring by (x + y + z) mod 3.
 
-`colour_index`, `compose` and `inverse` read the characters alone.  A
-group's `kind` (its name up to the first colon) keys the closed-form
-records in `boxcount.formulas`, and nothing here.  Each group carries one
-series variable per element, identity first.
+`colour_index` and `compose` read the characters alone, through
+`Group.digits`, the one place that knows the element layout.  A group's
+`kind` (its name up to the first colon) keys the closed-form records in
+`boxcount.formulas`, and nothing here.  Each group carries one series
+variable per element, identity first.
 
 `Group` is a plain immutable record, a NamedTuple of (name, variables,
 characters) like the other records of the package, so that importing it
@@ -95,34 +96,9 @@ def parse_group(text):
 
 def colour_index(group, x, y, z):
     """Element index of the weight of a box at (x, y, z)."""
-    index, place = 0, 1
-    for n, (a, b, c) in group.characters:
-        index += (a * x + b * y + c * z) % n * place
-        place *= n
-    return index
+    return sum((a * x + b * y + c * z) % n * place for n, a, b, c, place in group.digits)
 
 
 def compose(group, i, j):
-    out, place = 0, 1
-    for n, _ in group.characters:
-        out += (i // place + j // place) % n * place
-        place *= n
-    return out
-
-
-def inverse(group, i):
-    out, place = 0, 1
-    for n, _ in group.characters:
-        out += -(i // place) % n * place
-        place *= n
-    return out
-
-
-def laurent_restriction(group, e1, e2):
-    """Element index of the first two coordinate weights raised to e1, e2.
-
-    The third weight is determined by the first two (the action preserves
-    the product of all three), so characters in two exponents restrict
-    through this single map; it agrees with colour_index(e1, e2, 0).
-    """
-    return colour_index(group, e1, e2, 0)
+    """Element index of the product of elements i and j: their digits add mod n."""
+    return sum((i // place + j // place) % n * place for n, _, _, _, place in group.digits)

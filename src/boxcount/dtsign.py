@@ -8,13 +8,12 @@ a Laurent character Q in two exponents, the vertex combination
 
 and the sign is the parity of the multiplicity of the trivial weight in V
 after restricting the torus weights to the acting group.  Only that parity
-is needed, so the production route works in the group ring over GF(2),
-where an element is an integer bitmask over group-element indices.
-
-Restricted to the group, Q is the pile's colour counts, and mod 2 it is the
-bitmask of colours that occur an odd number of times.  The sign is therefore
-a function of a monomial's exponents: `sign_map` reads it from one table of
-2^|G| parities and multiplies each coefficient of a coloured series by it,
+is needed, and mod 2 it is a pair count: restricted to the group, Q is the
+pile's colour counts, and the trivial weight of Q * conj(Q) * F counts the
+pairs (g, f) with g in Q, f in F and g * f in Q.  So the sign depends only
+on the bitmask of colours that occur an odd number of times, an integer
+over group-element indices.  `sign_map` reads it from one table of 2^|G|
+parities and multiplies each coefficient of a coloured series by it,
 whichever route computed that series.  `sign_of` is the same parity taken
 per pile; it and the exact Laurent route are the references the tests hold
 the table to.
@@ -83,40 +82,13 @@ def restrict_laurent(group, char):
     """Push a Laurent character down to multiplicities per group element."""
     out = [0] * group.order
     for (e1, e2), c in char.items():
-        out[colouring.laurent_restriction(group, e1, e2)] += c
+        # the action preserves t1 * t2 * t3, so the third weight is fixed by the
+        # first two and the exponents (e1, e2) restrict as the box (e1, e2, 0)
+        out[colouring.colour_index(group, e1, e2, 0)] += c
     return out
 
 
-# -- the GF(2) group ring route ----------------------------------------------
-
-
-def ring_mul(group, u, v):
-    out = 0
-    i = 0
-    uu = u
-    while uu:
-        if uu & 1:
-            j = 0
-            vv = v
-            while vv:
-                if vv & 1:
-                    out ^= 1 << colouring.compose(group, i, j)
-                vv >>= 1
-                j += 1
-        uu >>= 1
-        i += 1
-    return out
-
-
-def ring_conj(group, u):
-    out = 0
-    i = 0
-    while u:
-        if u & 1:
-            out ^= 1 << colouring.inverse(group, i)
-        u >>= 1
-        i += 1
-    return out
+# -- the parity as a pair count ----------------------------------------------
 
 
 def restrict_boxes_mod2(group, boxes):
@@ -129,14 +101,23 @@ def restrict_boxes_mod2(group, boxes):
 def _f_mod2(group):
     out = 0
     for e1, e2 in F_LAURENT:
-        out ^= 1 << colouring.laurent_restriction(group, e1, e2)
+        # as in restrict_laurent: the third weight is fixed by the first two
+        out ^= 1 << colouring.colour_index(group, e1, e2, 0)
     return out
+
+
+def _elements(group, mask):
+    return [i for i in range(group.order) if mask >> i & 1]
+
+
+def _pair_parity(group, q, f):
+    # q's bit 0 plus the pairs (g, h), g in q and h in F's elements f, with g * h in q
+    return (q + sum(q >> colouring.compose(group, g, h) & 1 for g in _elements(group, q) for h in f)) & 1
 
 
 def mask_parity(group, q):
     """Parity of the trivial weight of V for colour counts whose mod-2 bitmask is q."""
-    v = q ^ ring_mul(group, ring_mul(group, q, ring_conj(group, q)), _f_mod2(group))
-    return v & 1
+    return _pair_parity(group, q, _elements(group, _f_mod2(group)))
 
 
 def invariant_parity(group, boxes):
@@ -176,4 +157,5 @@ def sign_map(group, series):
     if series.vars != group.variables:
         raise ValueError(f"series variables {series.vars} are not those of {group}")
     # the bitmask of a monomial's odd colour counts is the q of mask_parity
-    return series.sign_by_parities([mask_parity(group, q) for q in range(1 << group.order)])
+    f = _elements(group, _f_mod2(group))
+    return series.sign_by_parities([_pair_parity(group, q, f) for q in range(1 << group.order)])

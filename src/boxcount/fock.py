@@ -210,14 +210,15 @@ def _act(state, moves):
     return FockState(state.vars, state.trunc, {lam: amp for lam, amp in out.items() if amp})
 
 
-def apply_op(state, op, size_cap=None, owed=None):
+def apply_op(state, op, owed=None):
     """Apply one operator: each kind only lists its moves for `_act`.
 
-    `size_cap` bounds the partitions a raising operator creates.  `owed`,
-    for a gamma operator, maps a partition it could create to the least
-    number of boxes that partition and the slices after it still add
+    `owed`, for a gamma operator, maps a partition it could create to the
+    least number of boxes that partition and the slices after it still add
     (`evaluate` reads it off the word); terms that could then no longer stay
-    within the truncation are never created.
+    within the truncation are never created.  A raising operator with a
+    degree-0 argument needs an `owed` positive on a lone box, since nothing
+    else bounds the partitions it creates.
     """
     kind = op[0]
     cap = state.trunc
@@ -234,23 +235,20 @@ def apply_op(state, op, size_cap=None, owed=None):
         # delta boxes larger than mu costs at least per_box * delta more
         lone = owed((1,))
         per_box = degree + lone
-        if grow and per_box <= 0 and size_cap is None:
-            raise ValueError("raising with a degree-0 argument needs a size cap")
+        if grow and per_box <= 0:
+            raise ValueError("raising with a degree-0 argument needs a positive owed bound")
 
         def moves(mu, amp):
             # the least key has the least degree, since the degree lane is the most significant
             low = min(amp) >> shift
             if not grow:
                 partners = _partners_below(mu, primed)
-            elif per_box > 0:
+            else:
                 size = sum(mu)
                 room = cap - low - lone * size
                 if room < 0:
                     return ()
-                limit = size + room // per_box
-                partners = _partners_above(mu, limit if size_cap is None else min(limit, size_cap), primed)
-            else:
-                partners = _partners_above(mu, size_cap, primed)
+                partners = _partners_above(mu, size + room // per_box, primed)
             out = []
             for lam, delta in partners:
                 lam_cap = cap - owed(lam)
@@ -278,16 +276,16 @@ def apply_op(state, op, size_cap=None, owed=None):
     return _act(state, moves)
 
 
-def apply_ops(state, ops, size_cap=None):
+def apply_ops(state, ops):
     """Apply a left-to-right operator word: the rightmost acts first."""
     for op in reversed(list(ops)):
-        state = apply_op(state, op, size_cap)
+        state = apply_op(state, op)
     return state
 
 
-def bracket(lam, ops, mu, vars, trunc, size_cap=None):
+def bracket(lam, ops, mu, vars, trunc):
     """The lam-amplitude of the operator word applied to the basis state mu."""
-    return apply_ops(FockState.basis(mu, vars, trunc), ops, size_cap).amplitude(lam)
+    return apply_ops(FockState.basis(mu, vars, trunc), ops).amplitude(lam)
 
 
 def check_relation(vars, trunc, left_ops, right_ops, scalar=None, max_basis=6):

@@ -136,15 +136,24 @@ CATALOGUE = {
     "block-commutator": _block_commutator(),
 }
 
-# The least truncation at which every exchange case tells the rule's two cases
-# apart: (1 - u)^-1 and 1 + u first differ at u^2, so a case shows a swapped rule
-# from twice its lowest factor degree.
-MIN_TRUNC = max(
-    2 * min(u.degree for u, _ in exchange_factors(*split))
-    for _, cases in CATALOGUE.values()
-    for *_, split in cases
-    if split is not None
-)
+def least_telling_trunc(catalogue):
+    """The least truncation at which every case of `catalogue` shows its faults.
+
+    An exchange case shows a swapped rule from twice its lowest factor degree:
+    (1 - u)^-1 and 1 + u first differ at u^2.  A case with no scalar shows a
+    wrongly displaced argument a from twice the largest argument degree of its
+    gammas: an even part's first term is a^2.
+    """
+
+    def case_trunc(left, right, split):
+        if split is not None:
+            return 2 * min(u.degree for u, _ in exchange_factors(*split))
+        return 2 * max(op[3].degree for op in left + right if op[0] == "gamma")
+
+    return max(case_trunc(*case) for _, cases in catalogue.values() for _, *case in cases)
+
+
+MIN_TRUNC = least_telling_trunc(CATALOGUE)
 
 
 def check(name, trunc=6, max_basis=4):

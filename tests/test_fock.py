@@ -7,7 +7,7 @@ from boxcount.colouring import colour_index, klein_group, z3diag_group, zn_group
 from boxcount.dtsign import sign_map
 from boxcount.enum3d import coloured_series
 from boxcount.formulas import closed_klein, closed_pyramid, closed_zn
-from boxcount.fock import FockState, alpha_op, apply_op, apply_ops, bracket, even_minus, gamma_minus, gamma_plus
+from boxcount.fock import FockState, alpha_op, apply_op, bracket, even_minus, gamma_minus, gamma_plus
 from boxcount.pyramid import pyramid_series
 from boxcount.series import Monomial, Series
 
@@ -194,19 +194,23 @@ def test_no_state_holds_an_empty_amplitude(mu, trunc, word):
     # operator, sum and scaling drops the amplitudes that cancel
     state = FockState.basis(mu, V2, trunc)
     for op in reversed(word):
-        state = apply_op(state, op, size_cap=trunc)
+        # a partition owes at least its own boxes, which bounds every raising step
+        state = apply_op(state, op, owed=sum)
         for s in (state, state + state.scale(-Monomial.one(V2)), state.scale(Monomial.var(V2, "y", 2 * trunc))):
             assert all(s.amps.values()) and all(all(amp.values()) for amp in s.amps.values())
             assert s.is_zero() == (not s.amps) == all(s.amplitude(lam).is_zero() for lam in s.amps)
         assert (state + state.scale(-Monomial.one(V2))).is_zero()
 
 
-def test_gamma_degree_pruning_matches_plain_application():
-    # the size cap only removes states that cannot contribute at this truncation
-    state = apply_ops(FockState.vacuum(V, 4), [gamma_minus(X)] * 3, size_cap=4)
-    for lam in young.partitions_up_to(4):
-        amp = state.amplitude(lam)
-        assert amp == bracket(lam, [gamma_minus(X)] * 3, (), V, 4)
+def test_degree_zero_raising_needs_a_positive_owed_bound():
+    # nothing but the bound limits the partitions a degree-0 raising step creates
+    raise_one = gamma_minus(Monomial.one(V2))
+    with pytest.raises(ValueError, match="positive owed bound"):
+        apply_op(FockState.vacuum(V2, 3), raise_one)
+    with pytest.raises(ValueError, match="positive owed bound"):
+        apply_op(FockState.vacuum(V2, 3), raise_one, owed=lambda lam: 0)
+    # from the vacuum it makes the rows (k,), each owing its k boxes
+    assert set(apply_op(FockState.vacuum(V2, 3), raise_one, owed=sum).amps) == {(), (1,), (2,), (3,)}
 
 
 def test_relation_catalogue_smoke():
@@ -247,6 +251,22 @@ def test_catalogue_scalars_follow_the_exchange_rule(monkeypatch):
     assert failed == {"gamma-commutators", "even-part"}
 
 
+def test_catalogue_bound_counts_the_rows_without_a_scalar():
+    # an even-part row on x^4 shows a wrong argument only from x^8, so it raises the bound
+    # to 8: there a displacement to x^5 fails, and one degree lower it passes
+    assert relations.least_telling_trunc(relations.CATALOGUE) == relations.MIN_TRUNC
+    V = ("x",)
+    x4, x5 = Monomial.var(V, "x", 4), Monomial.var(V, "x", 5)
+    left = [gamma_minus(x4)]
+    right = [gamma_minus(x4, primed=True)] + even_minus(x4)
+    row = {"even-part-x4": (V, [("factor", left, right, None)])}
+    assert relations.least_telling_trunc({**relations.CATALOGUE, **row}) == 8
+    wrong = [gamma_minus(x4, primed=True)] + even_minus(x5)
+    assert fock.check_relation(V, 8, left, right, max_basis=2)[0]
+    assert not fock.check_relation(V, 8, left, wrong, max_basis=2)[0]
+    assert fock.check_relation(V, 7, left, wrong, max_basis=2)[0]
+
+
 def transfer(name, trunc):
     return fock.evaluate(fock.machine(name), trunc)
 
@@ -263,11 +283,15 @@ MACHINE_NAMES = ["zn:1", "zn:2", "zn:3", "zn:7", "z3diag", "klein", *fock.MACHIN
 
 
 def unpruned_machine(machine, trunc):
-    """The slice table's word applied record by record, pruned only by size_cap."""
+    """The slice table's word applied record by record, pruned only by each partition's own size.
+
+    A creator's partition is weighed by its own slice at once, so it owes at
+    least its size; the reference never reads the word's bound `_least_owed`.
+    """
     one = Monomial.one(machine.vars)
     state = FockState.vacuum(machine.vars, trunc)
     for _, raising, primed, weight in fock.word(machine, trunc):
-        state = apply_op(state, ("gamma", raising, primed, one), size_cap=trunc)
+        state = apply_op(state, ("gamma", raising, primed, one), owed=sum)
         state = apply_op(state, weight)
     return state.amplitude(())
 
@@ -282,11 +306,11 @@ def test_degree_budget_pruning_is_exact(name):
 
 
 def owing_more(monkeypatch, extra):
-    # evaluate calls apply_op through the module; unpruned_machine passes no bound
+    # evaluate calls apply_op through the module; unpruned_machine calls the unpatched one
     exact = fock.apply_op
 
-    def too_strong(state, op, size_cap=None, owed=None):
-        return exact(state, op, size_cap, owed and (lambda lam: owed(lam) + extra(lam)))
+    def too_strong(state, op, owed=None):
+        return exact(state, op, owed and (lambda lam: owed(lam) + extra(lam)))
 
     monkeypatch.setattr(fock, "apply_op", too_strong)
 
