@@ -58,8 +58,8 @@ class Group(NamedTuple):
 
 
 def zn_group(n):
-    if not 1 <= n <= MAX_VARS:
-        raise ValueError(f"cyclic order must be between 1 and {MAX_VARS} (one series variable per element)")
+    if type(n) is not int or not 1 <= n <= MAX_VARS:
+        raise ValueError(f"cyclic order must be an integer between 1 and {MAX_VARS} (one series variable per element)")
     return Group(f"zn:{n}", tuple(f"q{i}" for i in range(n)), ((n, (1, -1, 0)),))
 
 

@@ -151,6 +151,8 @@ def gamma_plus(arg, primed=False):
 
 def weight_op(*colours):
     """Cell (i, j) gets the colour colours[(j - i) mod len(colours)]."""
+    if not colours:
+        raise ValueError("a weight operator needs at least one colour")
     return ("weight", tuple(int(c) for c in colours))
 
 

@@ -156,7 +156,7 @@ def least_telling_trunc(catalogue):
 MIN_TRUNC = least_telling_trunc(CATALOGUE)
 
 
-def check(name, trunc=6, max_basis=4):
+def check(name, trunc, max_basis):
     """Check every case of the catalogue row `name`; returns (ok, witness)."""
     V, cases = CATALOGUE[name]
     for case, left, right, split in cases:
@@ -167,9 +167,10 @@ def check(name, trunc=6, max_basis=4):
     return True, None
 
 
-def heisenberg(trunc=1, max_basis=8, max_mode=4):
-    """[alpha_m, alpha_n] = m * delta(m+n) * Id on all small basis states."""
+def heisenberg(max_basis):
+    """[alpha_m, alpha_n] = m * delta(m+n) * Id for |m|, |n| <= 4 on all small basis states."""
     V = ("q",)
+    trunc, max_mode = 1, 4
     one = Monomial.one(V)
     for m in range(-max_mode, max_mode + 1):
         for n in range(-max_mode, max_mode + 1):
@@ -186,7 +187,7 @@ def heisenberg(trunc=1, max_basis=8, max_mode=4):
     return True, None
 
 
-def run_all(trunc=6, max_basis=4):
+def run_all(trunc, max_basis):
     """Yield (name, ok, witness) for every catalogued identity."""
     yield ("heisenberg", *heisenberg(max_basis=max_basis + 2))
     for name in CATALOGUE:

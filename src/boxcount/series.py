@@ -94,6 +94,8 @@ def _pack(exps):
 
 def var_key(nvars, i):
     """The key of variable i to the power 1 on `nvars` variables."""
+    if not 0 <= i < nvars:
+        raise ValueError(f"variable index {i} is not in 0..{nvars - 1}")
     return _pack([1 if j == i else 0 for j in range(nvars)])
 
 
@@ -150,15 +152,12 @@ class Monomial:
     def packed(self):
         return _pack(self.exps)
 
-    # the results below are built by `_monomial`, unchecked: sums, products
-    # and signs of valid parts are valid, and a quotient is checked here
-
     def __mul__(self, other):
         if not isinstance(other, Monomial):
             return NotImplemented
         if other.vars != self.vars:
             raise ValueError("variable sets differ")
-        return _monomial(self.vars, tuple(map(add, self.exps, other.exps)), self.sign * other.sign)
+        return Monomial(self.vars, map(add, self.exps, other.exps), self.sign * other.sign)
 
     def __truediv__(self, other):
         if not isinstance(other, Monomial):
@@ -168,15 +167,15 @@ class Monomial:
         exps = tuple(map(sub, self.exps, other.exps))
         if min(exps) < 0:
             raise ValueError("division would produce a negative exponent")
-        return _monomial(self.vars, exps, self.sign * other.sign)
+        return Monomial(self.vars, exps, self.sign * other.sign)
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise ValueError("power must be a non-negative integer")
-        return _monomial(self.vars, tuple([e * k for e in self.exps]), self.sign if k % 2 else 1)
+        return Monomial(self.vars, [e * k for e in self.exps], self.sign if k % 2 else 1)
 
     def __neg__(self):
-        return _monomial(self.vars, self.exps, -self.sign)
+        return Monomial(self.vars, self.exps, -self.sign)
 
     def __eq__(self, other):
         return (
@@ -191,18 +190,6 @@ class Monomial:
 
     def __repr__(self):
         return ("-" if self.sign < 0 else "") + _render_monomial(self.vars, self.exps)
-
-
-_set_vars, _set_exps, _set_sign = Monomial.vars.__set__, Monomial.exps.__set__, Monomial.sign.__set__
-
-
-def _monomial(vars, exps, sign):
-    """The Monomial of parts already known valid, built with no checks."""
-    mono = object.__new__(Monomial)
-    _set_vars(mono, vars)
-    _set_exps(mono, exps)
-    _set_sign(mono, sign)
-    return mono
 
 
 def _render_monomial(vars, exps):
@@ -362,12 +349,12 @@ class Series:
         if isinstance(other, int):
             return Series(self.vars, self.trunc, {0: other} if other else {}, _trusted=True)
         if isinstance(other, Monomial):
-            return Series.from_monomial(other, self.trunc)
-        if isinstance(other, Series):
-            if other.vars != self.vars:
-                raise ValueError("variable sets differ")
-            return other
-        return None
+            other = Series.from_monomial(other, self.trunc)
+        elif not isinstance(other, Series):
+            return None
+        if other.vars != self.vars:
+            raise ValueError("variable sets differ")
+        return other
 
     def truncate(self, trunc):
         if trunc >= self.trunc:
@@ -413,35 +400,14 @@ class Series:
         )
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            if other == 0:
-                return Series.zero(self.vars, self.trunc)
-            return Series(
-                self.vars,
-                self.trunc,
-                {k: other * c for k, c in self._terms.items()},
-                _trusted=True,
-            )
-        if isinstance(other, Monomial):
-            return self.mul_monomial(other)
-        if isinstance(other, Series):
-            if other.vars != self.vars:
-                raise ValueError("variable sets differ")
-            trunc = min(self.trunc, other.trunc)
-            terms = _kernels.mul_terms(self._terms, other._terms, trunc, self._shift)
-            return Series(self.vars, trunc, terms, _trusted=True)
-        return NotImplemented
+        rhs = self._coerce(other)
+        if rhs is None:
+            return NotImplemented
+        trunc = min(self.trunc, rhs.trunc)
+        terms = _kernels.mul_terms(self._terms, rhs._terms, trunc, self._shift)
+        return Series(self.vars, trunc, terms, _trusted=True)
 
     __rmul__ = __mul__
-
-    def mul_monomial(self, mono, coef=1):
-        if mono.vars != self.vars:
-            raise ValueError("variable sets differ")
-        out = {}
-        _kernels.scale_accumulate(
-            out, self._terms, mono.packed(), coef * mono.sign, self.trunc, self._shift
-        )
-        return Series(self.vars, self.trunc, out, _trusted=True)
 
     def __pow__(self, k):
         if not isinstance(k, int):

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxcount import _kernels, fock, relations, young
-from boxcount.colouring import colour_index, klein_group, z3diag_group, zn_group
+from boxcount.colouring import KLEIN_VARS, colour_index, klein_group, z3diag_group, zn_group
 from boxcount.dtsign import sign_map
 from boxcount.enum3d import coloured_series
 from boxcount.formulas import closed_klein, closed_pyramid, closed_zn
@@ -200,6 +200,19 @@ def test_no_state_holds_an_empty_amplitude(mu, trunc, word):
             assert all(s.amps.values()) and all(all(amp.values()) for amp in s.amps.values())
             assert s.is_zero() == (not s.amps) == all(s.amplitude(lam).is_zero() for lam in s.amps)
         assert (state + state.scale(-Monomial.one(V2))).is_zero()
+
+
+def test_weight_colours_must_name_variables_of_the_state():
+    state = FockState.basis((2, 1), KLEIN_VARS, 6)
+    assert apply_op(state, fock.weight_op(1)).amplitude((2, 1)) == Series.from_monomial(
+        Monomial.var(KLEIN_VARS, "qa", 3), 6
+    )
+    # an index past either end would be the key of the monomial 1
+    for colour in (len(KLEIN_VARS), -1):
+        with pytest.raises(ValueError, match="variable index"):
+            apply_op(state, fock.weight_op(colour))
+    with pytest.raises(ValueError, match="at least one colour"):
+        fock.weight_op()
 
 
 def test_degree_zero_raising_needs_a_positive_owed_bound():

@@ -2,13 +2,14 @@ import hashlib
 import io
 import json
 import tracemalloc
+from operator import add
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from boxcount import cli
-from boxcount.colouring import parse_group
+from boxcount.colouring import parse_group, zn_group
 from boxcount.formulas import closed_orbifold
 from boxcount.series import (
     MAX_TRUNC, MAX_VARS, WRITE_BLOCK, Monomial, Series, _pack, euler_product, macmahon, macmahon_tilde,
@@ -234,6 +235,12 @@ def test_guardrails():
         Series.one(("q",), 64)  # truncation too deep
     with pytest.raises(ValueError):
         Monomial.var(("q",), "x")
+    s = Series.from_terms(("x", "y"), 4, {(1, 0): 2})
+    # a monomial on other variables, the first above the truncation so that it coerces to a zero series
+    for m in (Monomial(("x", "t"), (3, 2)), Monomial(("x", "t"), (0, 1))):
+        for op in (lambda: s + m, lambda: m + s, lambda: s - m, lambda: m - s):
+            with pytest.raises(ValueError, match="variable sets differ"):
+                op()
 
 
 small_series = st.builds(
@@ -374,12 +381,14 @@ BOOL_ARGUMENTS = {
     "series coefficient": lambda: Series(("x",), 3, {0: True}),
     "series trunc": lambda: Series(("x",), True, {0: 1}),
     "euler_product trunc": lambda: euler_product(("x",), True, [(Monomial(("x",), (1,)), 1)]),
+    "zn_group order": lambda: zn_group(True),
 }
 
 
 @pytest.mark.parametrize("build", BOOL_ARGUMENTS.values(), ids=BOOL_ARGUMENTS)
 def test_constructors_refuse_bools_as_ints(build):
-    # a bool coefficient would be written as "True", which the reader refuses
+    # a bool coefficient would be written as "True", which the reader refuses,
+    # and a bool order would name the group zn:True
     with pytest.raises(ValueError):
         build()
 
@@ -389,6 +398,32 @@ def test_constructors_refuse_bools_as_ints(build):
 def test_items_come_in_degree_then_exponent_order(s):
     exps = [e for e, _ in s.items()]
     assert exps == sorted(set(exps), key=lambda e: (sum(e), e))
+
+
+@st.composite
+def series_and_monomial(draw):
+    """A series and a signed monomial on its variables, of any degree up to
+    3 per variable, so the monomial may lie above the truncation."""
+    s = draw(any_series())
+    exps = [draw(st.integers(0, 3)) for _ in s.vars]
+    return s, Monomial(s.vars, exps, draw(st.sampled_from((1, -1))))
+
+
+@given(series_and_monomial(), st.integers(-(2**70), 2**70))
+@settings(max_examples=100, deadline=None)
+def test_products_with_monomials_and_ints_are_products_with_their_series(pair, c):
+    s, m = pair
+    V, N = s.vars, s.trunc
+    # term by term: m shifts each exponent and c scales each coefficient
+    shifted = {tuple(map(add, e, m.exps)): m.sign * coef for e, coef in s.items() if sum(e) + m.degree <= N}
+    assert s * m == m * s == s * Series.from_monomial(m, N) == Series.from_terms(V, N, shifted)
+    constant = Series.from_terms(V, N, {(0,) * len(V): c})
+    assert s * c == c * s == s * constant == Series.from_terms(V, N, {e: c * coef for e, coef in s.items()})
+    # "t" is not among any_series' names
+    other = Monomial(V[:-1] + ("t",), m.exps)
+    for op in (lambda: s * other, lambda: other * s, lambda: s * Series.from_monomial(other, N)):
+        with pytest.raises(ValueError, match="variable sets differ"):
+            op()
 
 
 def _series_of(n):
