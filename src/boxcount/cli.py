@@ -9,11 +9,13 @@ them.  Then it prints the route, or compares the first route with each of
 the others and exits 1 with the first differing monomial.  Exit codes: 0
 agreement, 1 mismatch, 2 usage, 141 (128 + SIGPIPE) when the reader of
 stdout closes it early.
+
+`parse` reads the command line off the `SUBCOMMANDS` table, whose rows
+also write each command's help and the usage line of each usage error.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from functools import lru_cache
@@ -137,7 +139,7 @@ def _report(name_a, a, name_b, b):
 
 
 def _int_in(what, lo, hi=None):
-    """argparse type for an integer `what` in [lo, hi] (unbounded above when hi is None).
+    """Converter of an integer `what` in [lo, hi] (unbounded above when hi is None).
 
     Only the integer as Python prints it is accepted: int() alone would also
     read '+3', ' 3', '1_0', '03' and non-ASCII digits.
@@ -149,10 +151,10 @@ def _int_in(what, lo, hi=None):
         except ValueError:
             n = None
         if n is None or str(n) != text:
-            raise argparse.ArgumentTypeError(f"{what} must be a plain decimal integer, got {text!r}")
+            raise ValueError(f"{what} must be a plain decimal integer, got {text!r}")
         if n < lo or (hi is not None and n > hi):
             bound = f"in [{lo}, {hi}]" if hi is not None else f">= {lo}"
-            raise argparse.ArgumentTypeError(f"{what} must be {bound}, got {n}")
+            raise ValueError(f"{what} must be {bound}, got {n}")
         return n
 
     return parse
@@ -165,24 +167,169 @@ def _ops_trunc(text):
     return _int_in("truncation", relations.MIN_TRUNC, MAX_OPS_TRUNC)(text)
 
 
-# (command, help, positional argument name and help or None, takes --threads)
+class Option(NamedTuple):
+    flags: tuple  # its spellings, each also taken as flag=value, and a one-letter one as -Nvalue
+    dest: str
+    convert: Callable | tuple  # text -> value, raising ValueError with the message; or the words it takes
+    default: object  # None: the option is required
+    help: str
+
+
+TRUNC = Option(
+    ("-N", "--trunc"), "trunc", _int_in("truncation", 0, MAX_TRUNC), None,
+    f"truncation degree, 0..{MAX_TRUNC}; 0..{MAX_ENUM_TRUNC} on a route that enumerates piles",
+)
+THREADS = Option(
+    ("--threads",), "threads", _int_in("thread count", 1, MAX_THREADS), 1,
+    f"accepted for compatibility, 1..{MAX_THREADS}; has no effect",
+)
+OUTPUT = (
+    Option(("--format",), "format", ("pretty", "json", "csv"), "pretty", "output format"),
+    Option(("--max-terms",), "max_terms", _int_in("term cap", 0), 20, "term cap for pretty output, >= 0"),
+)
+
+# (command, help, positional argument name and help or None, options)
 SUBCOMMANDS = (
-    ("enum", "coloured box-pile series by direct enumeration", ("group", "zn:K, klein, or z3diag"), True),
-    ("pyramid", "pyramid-partition series by direct enumeration", None, True),
-    ("formula", "closed product formula", ("which", "zn:K, klein, or pyramid"), False),
+    ("enum", "coloured box-pile series by direct enumeration", ("group", "zn:K, klein, or z3diag"),
+     (TRUNC, THREADS, *OUTPUT)),
+    ("pyramid", "pyramid-partition series by direct enumeration", None, (TRUNC, THREADS, *OUTPUT)),
+    ("formula", "closed product formula", ("which", "zn:K, klein, or pyramid"), (TRUNC, *OUTPUT)),
     ("transfer", "transfer-operator evaluation",
-     ("which", "a group (zn:K, klein, z3diag), pyramid, pyramid-checkerboard, or z2z2 (= klein)"), False),
-    ("sign", "signed box counting via vertex-character parity", ("group", "zn:K, klein, or z3diag"), True),
-    ("dt", "closed signed forms", ("group", "zn:K or klein"), False),
+     ("which", "a group (zn:K, klein, z3diag), pyramid, pyramid-checkerboard, or z2z2 (= klein)"), (TRUNC, *OUTPUT)),
+    ("sign", "signed box counting via vertex-character parity", ("group", "zn:K, klein, or z3diag"),
+     (TRUNC, THREADS, *OUTPUT)),
+    ("dt", "closed signed forms", ("group", "zn:K or klein"), (
+        TRUNC,
+        Option(("--side",), "side", ("orbifold", "resolution", "paired"), "orbifold",
+               "orbifold signed form, resolution form, or the resolution form paired with its mirror"),
+        *OUTPUT,
+    )),
     ("verify", "cross-check two independent routes",
      ("target", "zn:K | klein | pyramid | pair | transfer:{zn:K,klein,z3diag,pyramid,pyramid-checkerboard,z2z2}"
-      " | sign:{zn:K,klein} | pairing:{zn:K,klein}"), True),
+      " | sign:{zn:K,klein} | pairing:{zn:K,klein}"), (TRUNC, THREADS)),
+    ("verify-ops", "check the operator-identity catalogue", None, (
+        Option(("-N", "--trunc"), "trunc", _ops_trunc, 6,
+               f"truncation degree, from the least that tells a swapped exchange rule apart up to {MAX_OPS_TRUNC}"),
+        Option(("--basis",), "basis", _int_in("basis size", 0, MAX_BASIS), 4,
+               f"largest basis partition size, 0..{MAX_BASIS}"),
+    )),
 )
+HELP = ("-h", "--help")
+DESCRIPTION = "exact coloured box counting: enumeration, transfer operators and closed product formulas"
+
+
+def _metavar(option):
+    return "{" + ",".join(option.convert) + "}" if type(option.convert) is tuple else option.dest.upper()
+
+
+def _usage(row):
+    """The usage line of a subcommand's row, or of boxcount itself when row is None."""
+    if row is None:
+        return "usage: boxcount [-h] {" + ",".join(r[0] for r in SUBCOMMANDS) + "} ..."
+    command, _, positional, options = row
+    words = ["[-h]"]
+    for option in options:
+        word = f"{option.flags[0]} {_metavar(option)}"
+        words.append(word if option.default is None else f"[{word}]")
+    if positional:
+        words.append(positional[0])
+    return " ".join(["usage: boxcount", command, *words])
+
+
+def _help(row):
+    def item(name, text):
+        return f"  {name:<20}  {text}" if len(name) <= 20 else f"  {name}\n{'':24}{text}"
+
+    if row is None:
+        about, positional, options = DESCRIPTION, None, ()
+    else:
+        _, about, positional, options = row
+    lines = [_usage(row), "", about, ""]
+    if positional:
+        lines += ["positional arguments:", item(*positional), ""]
+    if row is None:
+        lines += ["commands:", *(item(r[0], r[1]) for r in SUBCOMMANDS), ""]
+    lines += ["options:", item(", ".join(HELP), "show this help message and exit")]
+    for option in options:
+        default = "" if option.default is None else f" (default: {option.default})"
+        lines.append(item(", ".join(f"{f} {_metavar(option)}" for f in option.flags), option.help + default))
+    return "\n".join(lines)
+
+
+def _fail(row, message):
+    """Exit 2 on a usage error, after the usage line of `row` (None: boxcount's own)."""
+    prog = "boxcount" if row is None else f"boxcount {row[0]}"
+    sys.stderr.write(f"{_usage(row)}\n{prog}: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _convert(row, option, text):
+    name = "/".join(option.flags)
+    if text is None:
+        _fail(row, f"argument {name}: expected one argument")
+    if type(option.convert) is not tuple:
+        try:
+            return option.convert(text)
+        except ValueError as exc:
+            _fail(row, f"argument {name}: {exc}")
+    if text not in option.convert:
+        choices = ", ".join(map(repr, option.convert))
+        _fail(row, f"argument {name}: invalid choice: {text!r} (choose from {choices})")
+    return text
+
+
+def parse(argv):
+    """(row, {dest: value}) of a command line, or None once help is printed.
+
+    The command comes first; its positional and options follow in any order,
+    each option as `-N 5`, `-N5`, `-N=5`, `--trunc 5` or `--trunc=5`, the last
+    of a repeated option winning.  `--` ends the options.  An option is never
+    abbreviated.
+    """
+    if not argv:
+        _fail(None, "the following arguments are required: command")
+    if argv[0] in HELP:
+        print(_help(None))
+        return None
+    row = next((r for r in SUBCOMMANDS if r[0] == argv[0]), None)
+    if row is None:
+        choices = ", ".join(repr(r[0]) for r in SUBCOMMANDS)
+        _fail(None, f"argument command: invalid choice: {argv[0]!r} (choose from {choices})")
+    _, _, positional, options = row
+    by_flag = {flag: option for option in options for flag in option.flags}
+    values = {option.dest: option.default for option in options}
+    words = []
+    args = iter(argv[1:])
+    for arg in args:
+        if arg in HELP:
+            print(_help(row))
+            return None
+        if arg == "--":
+            words += args
+        elif arg[:1] != "-" or arg == "-":
+            words.append(arg)
+        else:
+            flag, eq, text = arg.partition("=")
+            if not eq and flag not in by_flag and flag[1] != "-":
+                flag, text = arg[:2], arg[2:]
+            if flag not in by_flag:
+                _fail(row, f"unrecognized arguments: {arg}")
+            option = by_flag[flag]
+            values[option.dest] = _convert(row, option, text if eq or text else next(args, None))
+    if len(words) > bool(positional):
+        _fail(row, f"unrecognized arguments: {' '.join(words[bool(positional):])}")
+    missing = [positional[0]] if positional and not words else []
+    missing += ["/".join(o.flags) for o in options if values[o.dest] is None]
+    if missing:
+        _fail(row, f"the following arguments are required: {', '.join(missing)}")
+    values["which"] = words[0] if words else None
+    return row, values
 
 
 def main(argv=None):
+    """Run one command line (sys.argv[1:] when argv is None) and return its exit code."""
     try:
-        code = _main(argv)
+        code = _main(sys.argv[1:] if argv is None else argv)
         # flushed here, so that a closed pipe is caught below and not at interpreter exit
         sys.stdout.flush()
     except BrokenPipeError:
@@ -194,61 +341,32 @@ def main(argv=None):
 
 
 def _main(argv):
-    parser = argparse.ArgumentParser(prog="boxcount", description=__doc__.split("\n")[0])
-    parser.set_defaults(which=None, side="orbifold")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, about, positional, threads in SUBCOMMANDS:
-        p = sub.add_parser(command, help=about)
-        if positional:
-            p.add_argument("which", metavar=positional[0], help=positional[1])
-        p.add_argument(
-            "-N", "--trunc", type=_int_in("truncation", 0, MAX_TRUNC), required=True,
-            help=f"truncation degree, 0..{MAX_TRUNC}; 0..{MAX_ENUM_TRUNC} on a route that enumerates piles",
-        )
-        if threads:
-            p.add_argument(
-                "--threads", type=_int_in("thread count", 1, MAX_THREADS), default=1,
-                help=f"accepted for compatibility, 1..{MAX_THREADS}; has no effect",
-            )
-        if command == "dt":
-            p.add_argument("--side", choices=("orbifold", "resolution", "paired"), default="orbifold")
-        if command != "verify":
-            p.add_argument("--format", choices=("pretty", "json", "csv"), default="pretty")
-            p.add_argument(
-                "--max-terms", type=_int_in("term cap", 0), default=20, help="term cap for pretty output, >= 0"
-            )
-
-    p = sub.add_parser("verify-ops", help="check the operator-identity catalogue")
-    p.add_argument(
-        "-N", "--trunc", type=_ops_trunc, default=6,
-        help=f"truncation degree, from the least that tells a swapped exchange rule apart up to {MAX_OPS_TRUNC}",
-    )
-    p.add_argument(
-        "--basis", type=_int_in("basis size", 0, MAX_BASIS), default=4, help=f"largest basis partition size, 0..{MAX_BASIS}"
-    )
-
-    args = parser.parse_args(argv)
-    if args.command == "verify-ops":
+    parsed = parse(argv)
+    if parsed is None:
+        return 0
+    row, args = parsed
+    command = row[0]
+    if command == "verify-ops":
         from boxcount import relations
 
         failed = 0
-        for name, ok, witness in relations.run_all(trunc=args.trunc, max_basis=args.basis):
+        for name, ok, witness in relations.run_all(trunc=args["trunc"], max_basis=args["basis"]):
             print(f"ok: {name}" if ok else f"FAIL: {name}  (witness {witness})")
             failed += not ok
         return 1 if failed else 0
 
-    usage_error = sub.choices[args.command].error  # its usage line names the subcommand
+    which = args["which"]
     try:
-        routes = verify_routes(args.which) if args.command == "verify" else [route(args.command, args.which, args.side)]
+        routes = verify_routes(which) if command == "verify" else [route(command, which, args.get("side", "orbifold"))]
     except ValueError as exc:
-        usage_error(str(exc))
-    N = args.trunc
+        _fail(row, str(exc))
+    N = args["trunc"]
     if N > MAX_ENUM_TRUNC and any(r.enumerates for r in routes):
-        usage_error(f"argument -N/--trunc: a route that enumerates piles needs -N in [0, {MAX_ENUM_TRUNC}], got {N}")
+        _fail(row, f"argument -N/--trunc: a route that enumerates piles needs -N in [0, {MAX_ENUM_TRUNC}], got {N}")
     first, *others = routes
     series = first.series(N)
-    if args.command != "verify":
-        _emit(series, args.format, args.max_terms)
+    if command != "verify":
+        _emit(series, args["format"], args["max_terms"])
         return 0
     for other in others:
         if _report(first.label, series, other.label, other.series(N)):

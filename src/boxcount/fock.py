@@ -153,13 +153,15 @@ def weight_op(*colours):
     """Cell (i, j) gets the colour colours[(j - i) mod len(colours)]."""
     if not colours:
         raise ValueError("a weight operator needs at least one colour")
-    return ("weight", tuple(int(c) for c in colours))
+    if any(type(c) is not int for c in colours):
+        raise ValueError(f"colours must be ints, got {colours!r}")
+    return ("weight", colours)
 
 
 def alpha_op(n):
-    if n == 0:
-        raise ValueError("mode index must be non-zero")
-    return ("alpha", int(n))
+    if type(n) is not int or n == 0:
+        raise ValueError(f"mode index must be a non-zero int, got {n!r}")
+    return ("alpha", n)
 
 
 def even_minus(arg):

@@ -94,7 +94,7 @@ def _pack(exps):
 
 def var_key(nvars, i):
     """The key of variable i to the power 1 on `nvars` variables."""
-    if not 0 <= i < nvars:
+    if type(i) is not int or not 0 <= i < nvars:
         raise ValueError(f"variable index {i} is not in 0..{nvars - 1}")
     return _pack([1 if j == i else 0 for j in range(nvars)])
 
@@ -170,7 +170,7 @@ class Monomial:
         return Monomial(self.vars, exps, self.sign * other.sign)
 
     def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
+        if type(k) is not int or k < 0:
             raise ValueError("power must be a non-negative integer")
         return Monomial(self.vars, [e * k for e in self.exps], self.sign if k % 2 else 1)
 
@@ -410,8 +410,8 @@ class Series:
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        if not isinstance(k, int):
-            return NotImplemented
+        if type(k) is not int:
+            raise ValueError("power must be an integer")
         if k < 0:
             return self.inverse() ** (-k)
         result = Series.one(self.vars, self.trunc)

@@ -12,7 +12,7 @@ def is_partition(p):
     if not isinstance(p, tuple):
         return False
     for i, row in enumerate(p):
-        if not isinstance(row, int) or row < 1:
+        if type(row) is not int or row < 1:
             return False
         if i and p[i - 1] < row:
             return False

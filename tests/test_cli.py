@@ -163,11 +163,57 @@ def test_usage_errors_exit_2(capsys):
      (["enum", "klein", "-N", str(cli.MAX_ENUM_TRUNC + 1)], "usage: boxcount enum ")],
 )
 def test_route_and_cap_errors_name_the_subcommand(capsys, argv, usage):
-    # as argparse's own errors on the subcommand's arguments do
+    # as the parser's own errors on the subcommand's arguments do
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
     assert capsys.readouterr().err.startswith(usage)
+
+
+@pytest.mark.parametrize("row", cli.SUBCOMMANDS, ids=[row[0] for row in cli.SUBCOMMANDS])
+def test_help_names_every_option_of_its_row(capsys, row):
+    command, about, positional, options = row
+    for flag in ("-h", "--help"):
+        assert cli.main([command, flag]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: boxcount {command} ") and about in out
+        assert all(f in out for option in options for f in option.flags), out
+        assert positional is None or positional[0] in out
+
+
+def test_top_level_help_names_every_command(capsys):
+    for flag in ("-h", "--help"):
+        assert cli.main([flag]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: boxcount ")
+        assert all(f"  {row[0]} " in out for row in cli.SUBCOMMANDS), out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["transfer", "z2z2", "--trunc=5"], ["transfer", "z2z2", "-N5"], ["transfer", "z2z2", "-N=5"],
+     ["transfer", "-N", "5", "z2z2"], ["transfer", "--trunc", "5", "z2z2"], ["transfer", "-N", "5", "--", "z2z2"],
+     # the last of a repeated option wins
+     ["transfer", "z2z2", "-N", "3", "-N", "5"], ["transfer", "z2z2", "-N", "63", "--trunc=5"]],
+)
+def test_option_spellings_print_the_same_output(capsys, argv):
+    expected = run(capsys, "transfer", "z2z2", "-N", "5", "--format", "json")
+    command, *rest = argv
+    assert run(capsys, command, "--format", "json", *rest) == expected
+    assert run(capsys, command, "--format=csv", "--format", "json", *rest) == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["transfer", "z2z2", "-N", "5", "--form", "json"], ["transfer", "z2z2", "--tr", "5"],
+     ["dt", "klein", "-N", "5", "--si", "paired"], ["enum", "klein", "-N", "5", "--thr", "2"],
+     ["verify-ops", "--bas", "2"], ["transfer", "z2z2", "-N", "5", "--max", "3"]],
+)
+def test_abbreviated_options_are_refused(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -211,13 +257,13 @@ def test_mismatch_reporting(capsys):
 # fresh process with a time limit rather than in-process
 @pytest.mark.parametrize(
     "argv",
-    [["transfer", "z2z2", "-N", "64"],
+    [[], ["nope", "-N", "3"], ["transfer", "z2z2", "-N", "64"],
      *([*target, "-N", str(cli.MAX_ENUM_TRUNC + 1)] for target in (
          ["enum", "klein"], ["enum", "z3diag"], ["pyramid"], ["sign", "zn:3"], ["verify", "klein"],
          ["verify", "zn:3"], ["verify", "pyramid"], ["verify", "transfer:z2z2"], ["verify", "transfer:pyramid"],
          ["verify", "transfer:pyramid-checkerboard"], ["verify", "transfer:z3diag"], ["verify", "sign:zn:3"],
          ["verify", "sign:klein"]))],
-    ids=lambda argv: "-".join(argv[:-2]),
+    ids=lambda argv: "-".join(argv[:-2]) or "no-arguments",
 )
 def test_out_of_range_truncation_is_rejected_before_any_work(argv):
     src = str(Path(boxcount.__file__).resolve().parent.parent)
@@ -290,6 +336,10 @@ SUBCOMMAND_MODULES = {
 }
 
 
+# what argparse loads: itself, gettext for its messages and, on the first lookup, locale
+UNLOADED_BY_THE_PARSER = {"argparse", "gettext", "locale"}
+
+
 def loaded_modules(*args, code):
     """sys.modules after `code` ran in a fresh interpreter, one name a line."""
     src = str(Path(boxcount.__file__).resolve().parent.parent)
@@ -309,7 +359,13 @@ def test_enumeration_loads_no_closed_form_or_transfer_module():
             argv = [*command.split(), "-N", "3", "--format", fmt]
             loaded = loaded_modules(code=f"from boxcount import cli; cli.main({argv!r})")
             assert {m for m in loaded if m.split(".")[0] == "boxcount"} == expected, argv
-            assert "json" not in loaded, argv
+            assert sorted(loaded & {"json", *UNLOADED_BY_THE_PARSER}) == [], argv
+
+
+@pytest.mark.parametrize("argv", [["verify", "transfer:z2z2", "-N", "3"], ["verify-ops", "--basis", "1"], ["dt", "-h"]])
+def test_verify_and_help_load_no_parser_module(argv):
+    loaded = loaded_modules(code=f"from boxcount import cli; cli.main({argv!r})")
+    assert sorted(loaded & UNLOADED_BY_THE_PARSER) == []
 
 
 def test_startup_imports_no_dataclasses_or_inspect():
@@ -320,8 +376,8 @@ def test_startup_imports_no_dataclasses_or_inspect():
         code="import boxcount.cli, boxcount.enum3d, boxcount.pyramid, boxcount.dtsign, boxcount.fock, boxcount.formulas\n"
              "boxcount.cli.main(['sign', 'zn:3', '-N', '4', '--format', 'json'])",
     )
-    assert {"argparse", "boxcount.fock", "boxcount.formulas"} <= loaded
-    assert sorted(loaded & {"dataclasses", "inspect", "json"}) == []
+    assert {"boxcount.fock", "boxcount.formulas"} <= loaded
+    assert sorted(loaded & {"dataclasses", "inspect", "json", *UNLOADED_BY_THE_PARSER}) == []
 
 
 def test_closed_pipe_exits_141_quietly():

@@ -215,6 +215,19 @@ def test_weight_colours_must_name_variables_of_the_state():
         fock.weight_op()
 
 
+@pytest.mark.parametrize("colour", [1.7, True, "2", 1.0])
+def test_weight_colours_must_be_ints(colour):
+    # int() would read each of these as a colour
+    with pytest.raises(ValueError, match="colours must be ints"):
+        fock.weight_op(0, colour)
+
+
+@pytest.mark.parametrize("mode", [1.5, True, "3", 2.0, 0])
+def test_alpha_modes_must_be_nonzero_ints(mode):
+    with pytest.raises(ValueError, match="mode index"):
+        alpha_op(mode)
+
+
 def test_degree_zero_raising_needs_a_positive_owed_bound():
     # nothing but the bound limits the partitions a degree-0 raising step creates
     raise_one = gamma_minus(Monomial.one(V2))

@@ -12,8 +12,9 @@ from boxcount import cli
 from boxcount.colouring import parse_group, zn_group
 from boxcount.formulas import closed_orbifold
 from boxcount.series import (
-    MAX_TRUNC, MAX_VARS, WRITE_BLOCK, Monomial, Series, _pack, euler_product, macmahon, macmahon_tilde,
+    MAX_TRUNC, MAX_VARS, WRITE_BLOCK, Monomial, Series, _pack, euler_product, macmahon, macmahon_tilde, var_key,
 )
+from boxcount.young import check_partition
 
 # frozen from tools/oracles/series_products.py
 MAC_M_1Q_14 = [1, 1, 3, 6, 13, 24, 48, 86, 160, 282, 500, 859, 1479, 2485, 4167]
@@ -382,6 +383,10 @@ BOOL_ARGUMENTS = {
     "series trunc": lambda: Series(("x",), True, {0: 1}),
     "euler_product trunc": lambda: euler_product(("x",), True, [(Monomial(("x",), (1,)), 1)]),
     "zn_group order": lambda: zn_group(True),
+    "monomial power": lambda: Monomial(("x",), (1,)) ** True,
+    "series power": lambda: Series.one(("x",), 3) ** True,
+    "var_key index": lambda: var_key(2, True),
+    "partition row": lambda: check_partition((True,)),
 }
 
 
