@@ -292,7 +292,7 @@ def bracket(lam, ops, mu, vars, trunc):
     return apply_ops(FockState.basis(mu, vars, trunc), ops).amplitude(lam)
 
 
-def check_relation(vars, trunc, left_ops, right_ops, scalar=None, max_basis=6):
+def check_relation(vars, trunc, left_ops, right_ops, max_basis, scalar=None):
     """Exact equality of two operator words on all partitions up to max_basis.
 
     The right word may carry a scalar series factor.  Returns (ok, witness):

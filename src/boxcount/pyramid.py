@@ -13,6 +13,12 @@ set of bricks closed under taking parents.
 
 Diagonal slices are indexed by x - z; a brick's colour depends only on its
 slice index mod 4.
+
+The piles of at most n bricks are the order ideals of the bricks of layers
+below n (`brick_poset`).  `enumerate_pyramids` walks them with
+`ideals.order_ideals` and yields each pile once as a plain list of bricks,
+whose colour keys `pyramid_series` sums.  `PyramidPartition` checks a pile
+and reads its diagonal slices.
 """
 
 from __future__ import annotations
@@ -21,45 +27,23 @@ from boxcount import ideals, young
 from boxcount.colouring import KLEIN_VARS, SLICE_COLOUR
 from boxcount.series import Series, var_key
 
-V1 = (-1, 1, 0)
-V2 = (1, 1, 0)
-W1 = (0, 1, -1)
-W2 = (0, 1, 1)
-
 
 def is_brick(b):
     x, y, z = b
-    if y < 0:
-        return False
-    nv = (y + 1) // 2
-    nw = y // 2
-    return abs(x) <= nv and abs(z) <= nw and (x - nv) % 2 == 0 and (z - nw) % 2 == 0
+    nv, nw = (y + 1) // 2, y // 2
+    return y >= 0 and abs(x) <= nv and abs(z) <= nw and (x - nv) % 2 == 0 and (z - nw) % 2 == 0
 
 
 def parents(b):
     x, y, z = b
-    steps = (V1, V2) if y % 2 == 1 else (W1, W2)
-    out = []
-    for sx, sy, sz in steps:
-        p = (x - sx, y - sy, z - sz)
-        if is_brick(p):
-            out.append(p)
-    return out
+    steps = ((-1, 1, 0), (1, 1, 0)) if y % 2 else ((0, 1, -1), (0, 1, 1))
+    return [p for sx, sy, sz in steps if is_brick(p := (x - sx, y - sy, z - sz))]
 
 
 def layer_bricks(y):
     """All bricks in layer y, in canonical (x, z) order."""
-    nv = (y + 1) // 2
-    nw = y // 2
-    out = []
-    for x in range(-nv, nv + 1):
-        if (x - nv) % 2:
-            continue
-        for z in range(-nw, nw + 1):
-            if (z - nw) % 2:
-                continue
-            out.append((x, y, z))
-    return out
+    nv, nw = (y + 1) // 2, y // 2
+    return [(x, y, z) for x in range(-nv, nv + 1, 2) for z in range(-nw, nw + 1, 2)]
 
 
 def colour_index(b):
@@ -73,19 +57,15 @@ class PyramidPartition:
 
     __slots__ = ("bricks",)
 
-    def __init__(self, bricks, _trusted=False):
-        # a trusted caller passes distinct bricks that are already parent-closed
-        if _trusted:
-            bricks = tuple(sorted(bricks))
-        else:
-            bset = set(bricks)
-            bricks = tuple(sorted(bset))
-            for b in bricks:
-                if not is_brick(b):
-                    raise ValueError(f"not a brick position: {b!r}")
-                for p in parents(b):
-                    if p not in bset:
-                        raise ValueError(f"not parent-closed: {b!r} needs {p!r}")
+    def __init__(self, bricks):
+        bset = set(bricks)
+        bricks = tuple(sorted(bset))
+        for b in bricks:
+            if not is_brick(b):
+                raise ValueError(f"not a brick position: {b!r}")
+            for p in parents(b):
+                if p not in bset:
+                    raise ValueError(f"not parent-closed: {b!r} needs {p!r}")
         object.__setattr__(self, "bricks", bricks)
 
     def __setattr__(self, name, value):
@@ -106,10 +86,7 @@ class PyramidPartition:
         for x, y, z in self.bricks:
             k = x - z
             m = abs(k) // 2
-            if k >= 0:
-                apex_x = m if k % 2 == 0 else m + 1
-            else:
-                apex_x = -m if k % 2 == 0 else -m - 1
+            apex_x = (m + k % 2) * (1 if k >= 0 else -1)
             apex_y = 2 * m + k % 2
             # steps (1,2,1) and (-1,2,-1) span the slice plane
             r = ((x - apex_x) + (y - apex_y) // 2) // 2
@@ -117,11 +94,10 @@ class PyramidPartition:
             cells.setdefault(k, set()).add((r, p_))
         out = {}
         for k, cs in cells.items():
-            rows = {}
-            for r, p_ in cs:
-                rows[r] = rows.get(r, 0) + 1
-            lam = tuple(rows.get(i, 0) for i in range(max(rows) + 1))
-            out[k] = young.check_partition(lam)
+            rows = [0] * (max(r for r, _ in cs) + 1)
+            for r, _ in cs:
+                rows[r] += 1
+            out[k] = young.check_partition(tuple(rows))
         return out
 
     def __eq__(self, other):
@@ -134,28 +110,42 @@ class PyramidPartition:
         return f"PyramidPartition({list(self.bricks)!r})"
 
 
+def brick_poset(n):
+    """The bricks of layers 0..n-1 as a poset: (bricks, parents, steps).
+
+    Bricks are ordered by (layer, x, z), so every brick comes after its
+    parents; parents[i] lists brick i's parents by index, and steps[i] is
+    the packed key of brick i's colour.
+    """
+    bricks = [b for y in range(n) for b in layer_bricks(y)]
+    index = {b: i for i, b in enumerate(bricks)}
+    return (
+        bricks,
+        [[index[p] for p in parents(b)] for b in bricks],
+        [var_key(len(KLEIN_VARS), colour_index(b)) for b in bricks],
+    )
+
+
 def enumerate_pyramids(max_bricks):
     """Yield every pile with at most max_bricks bricks, each exactly once.
 
-    Bricks are ordered by (layer, x, z), so every brick comes after its
-    parents, and the piles are the order ideals of that poset: one
-    reverse-search walk over it yields each pile once, already closed.
+    One reverse-search walk over `brick_poset(max_bricks)` yields each pile,
+    already closed, as a new list of its bricks in the order they were added.
     """
     if max_bricks < 0:
         raise ValueError("max_bricks must be non-negative")
-    bricks = [b for y in range(max_bricks) for b in layer_bricks(y)]
-    index = {b: i for i, b in enumerate(bricks)}
-    parent_idx = [[index[p] for p in parents(b)] for b in bricks]
+    bricks, parent_idx, _ = brick_poset(max_bricks)
     for ideal in ideals.order_ideals(parent_idx, max_bricks):
-        yield PyramidPartition([bricks[i] for i in ideal], _trusted=True)
+        yield [bricks[i] for i in ideal]
 
 
 def pyramid_series(trunc):
     """Generating series over (q0, qa, qb, qc) of piles by colour counts."""
-    # each brick a pile can hold adds its packed colour and degree to the pile's key
-    step = {b: var_key(len(KLEIN_VARS), colour_index(b)) for y in range(trunc) for b in layer_bricks(y)}
+    bricks, _, steps = brick_poset(trunc)
+    # each brick a pile holds adds its packed colour and degree to the pile's key
+    step = dict(zip(bricks, steps)).__getitem__
     terms = {}
-    for pp in enumerate_pyramids(trunc):
-        key = sum(map(step.__getitem__, pp.bricks))
+    for pile in enumerate_pyramids(trunc):
+        key = sum(map(step, pile))
         terms[key] = terms.get(key, 0) + 1
     return Series(KLEIN_VARS, trunc, terms, _trusted=True)

@@ -161,7 +161,7 @@ def check(name, trunc, max_basis):
     V, cases = CATALOGUE[name]
     for case, left, right, split in cases:
         scalar = None if split is None else euler_product(V, trunc, exchange_factors(*split))
-        ok, mu = fock.check_relation(V, trunc, left, right, scalar, max_basis)
+        ok, mu = fock.check_relation(V, trunc, left, right, max_basis, scalar)
         if not ok:
             return False, (case, mu)
     return True, None

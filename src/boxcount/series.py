@@ -80,6 +80,16 @@ def _check_trunc(trunc):
         raise ValueError(f"trunc must be an integer in [0, {MAX_TRUNC}]")
 
 
+def _check_exps(exps, nvars):
+    """`exps` as a tuple, if it is `nvars` non-negative ints; else ValueError."""
+    exps = tuple(exps)
+    if len(exps) != nvars:
+        raise ValueError("exponent count does not match variable count")
+    if any(type(e) is not int or e < 0 for e in exps):
+        raise ValueError("exponents must be non-negative integers")
+    return exps
+
+
 def degree_shift(nvars):
     """Bit offset of the degree lane in a key on `nvars` variables."""
     return _LANE * nvars
@@ -110,12 +120,7 @@ class Monomial:
 
     def __init__(self, vars, exps, sign=1):
         _check_vars(vars)
-        exps = tuple(exps)
-        if len(exps) != len(vars):
-            raise ValueError("exponent count does not match variable count")
-        for e in exps:
-            if type(e) is not int or e < 0:
-                raise ValueError("exponents must be non-negative integers")
+        exps = _check_exps(exps, len(vars))
         if type(sign) is not int or sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
         object.__setattr__(self, "vars", vars)
@@ -239,10 +244,10 @@ class Series:
         return cls(vars, trunc, {0: 1}, _trusted=True)
 
     @classmethod
-    def from_monomial(cls, mono, trunc, coef=1):
-        if coef == 0 or mono.degree > trunc:
+    def from_monomial(cls, mono, trunc):
+        if mono.degree > trunc:
             return cls.zero(mono.vars, trunc)
-        return cls(mono.vars, trunc, {mono.packed(): coef * mono.sign}, _trusted=True)
+        return cls(mono.vars, trunc, {mono.packed(): mono.sign}, _trusted=True)
 
     @classmethod
     def from_terms(cls, vars, trunc, terms):
@@ -250,13 +255,9 @@ class Series:
         _check_vars(vars)
         packed = {}
         for exps, coef in terms.items():
-            if len(exps) != len(vars):
-                raise ValueError("exponent tuple length does not match variables")
-            if any(type(e) is not int or e < 0 for e in exps):
-                raise ValueError("exponents must be non-negative integers")
+            key = _pack(_check_exps(exps, len(vars)))
             if type(coef) is not int:
                 raise ValueError("coefficients must be ints")
-            key = _pack(exps)
             if coef:
                 packed[key] = packed.get(key, 0) + coef
         return cls(vars, trunc, {k: c for k, c in packed.items() if c})
@@ -275,9 +276,7 @@ class Series:
 
     def coefficient(self, exps):
         """Coefficient of the exponent tuple `exps`."""
-        if len(exps) != len(self.vars):
-            raise ValueError("exponent tuple length does not match variables")
-        return self._terms.get(_pack(exps), 0)
+        return self._terms.get(_pack(_check_exps(exps, len(self.vars))), 0)
 
     def items(self):
         """Yield (exponent tuple, coefficient) in canonical order."""
@@ -486,9 +485,17 @@ class Series:
     @classmethod
     def from_json_dict(cls, data):
         """The series of a document as `to_json_dict` makes it; ValueError
-        for anything else: non-int trunc or exponents, a coefficient that is
-        not a non-zero canonical decimal string, a term above trunc, or
-        terms not in strictly increasing canonical order."""
+        for anything else: not an object with vars, trunc and a list of
+        terms each with exp and coef, non-int trunc or exponents, a
+        coefficient that is not a non-zero canonical decimal string, a term
+        above trunc, or terms not in strictly increasing canonical order."""
+        if not (
+            isinstance(data, dict)
+            and {"vars", "trunc", "terms"} <= data.keys()
+            and isinstance(data["terms"], list)
+            and all(isinstance(t, dict) and isinstance(t.get("exp"), list) and "coef" in t for t in data["terms"])
+        ):
+            raise ValueError("not a series document")
         vars, trunc = data["vars"], data["trunc"]
         if not isinstance(vars, list) or not all(isinstance(v, str) for v in vars):
             raise ValueError("vars must be a list of names")
@@ -497,11 +504,7 @@ class Series:
         terms = {}
         last = -1
         for item in data["terms"]:
-            exps, coef = item["exp"], item["coef"]
-            if not isinstance(exps, list) or len(exps) != len(vars):
-                raise ValueError("exponent list length does not match variables")
-            if any(type(e) is not int or e < 0 for e in exps):
-                raise ValueError("exponents must be non-negative integers")
+            exps, coef = _check_exps(item["exp"], len(vars)), item["coef"]
             if sum(exps) > trunc:
                 raise ValueError("term above the truncation order")
             if not isinstance(coef, str) or coef == "0" or str(int(coef)) != coef:

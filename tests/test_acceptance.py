@@ -13,6 +13,7 @@ from boxcount.enum3d import coloured_series, enumerate_diagrams, volume_counts
 from boxcount.fock import bracket, gamma_minus
 from boxcount.pyramid import (
     SLICE_COLOUR,
+    PyramidPartition,
     colour_index,
     enumerate_pyramids,
     layer_bricks,
@@ -145,7 +146,7 @@ def test_criterion_11_pairing_identity():
 def test_criterion_12_pyramid_structure():
     t0 = time.time()
     ok = True
-    for p in enumerate_pyramids(8):
+    for p in map(PyramidPartition, enumerate_pyramids(8)):
         for x, y, z in p.bricks:
             ok = ok and colour_index((x, y, z)) == SLICE_COLOUR[(x - z) % 4]
         sl = p.slices()
@@ -167,6 +168,6 @@ def test_criterion_12_pyramid_structure():
                     if b not in pile and all(q in pile for q in parents(b)):
                         nxt.add(pile | {b})
         frontier = nxt
-    enumerated = {frozenset(p.bricks) for p in enumerate_pyramids(6) if p.volume() == 6}
+    enumerated = {frozenset(p.bricks) for p in map(PyramidPartition, enumerate_pyramids(6)) if p.volume() == 6}
     ok = ok and frontier == enumerated
     report(12, "slice colours, interlacing families, word-model equivalence", ok, t0)

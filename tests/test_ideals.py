@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxcount import colouring, pyramid
+from boxcount import colouring
 from boxcount.colouring import KLEIN_VARS
 from boxcount.enum3d import coloured_series, enumerate_diagrams
 from boxcount.ideals import key_series, order_ideals
-from boxcount.pyramid import PyramidPartition, enumerate_pyramids, pyramid_series
-from boxcount.series import Series, _pack, var_key
+from boxcount.pyramid import PyramidPartition, brick_poset, enumerate_pyramids, pyramid_series
+from boxcount.series import Series, _pack
 
 
 @st.composite
@@ -70,10 +70,7 @@ def test_key_series_counts_the_step_sums_of_every_ideal(data):
 
 @pytest.mark.parametrize("N", range(13))
 def test_brick_key_series_is_the_pyramid_series(N):
-    bricks = [b for y in range(N) for b in pyramid.layer_bricks(y)]
-    index = {b: i for i, b in enumerate(bricks)}
-    parents = [[index[p] for p in pyramid.parents(b)] for b in bricks]
-    step = [var_key(len(KLEIN_VARS), pyramid.colour_index(b)) for b in bricks]
+    _, parents, step = brick_poset(N)
     assert Series(KLEIN_VARS, N, key_series(parents, step, N)) == pyramid_series(N)
 
 
@@ -97,7 +94,7 @@ def test_box_ideals_equal_the_slice_chain_enumeration(name):
 
 def test_brick_ideals_are_distinct_closed_piles():
     piles = list(enumerate_pyramids(9))
-    for pile in piles:
-        # untrusted construction re-checks every brick and its parents
-        assert PyramidPartition(pile.bricks) == pile
-    assert len(set(piles)) == len(piles)
+    # the constructor checks every brick and its parents
+    checked = set(map(PyramidPartition, piles))
+    assert all(len(pile) == len(set(pile)) for pile in piles)
+    assert len(checked) == len(piles)

@@ -34,8 +34,8 @@ PYRAMID_COLOURS_7 = {
 
 def test_counts_fixture():
     counts = [0] * 9
-    for p in enumerate_pyramids(8):
-        counts[p.volume()] += 1
+    for pile in enumerate_pyramids(8):
+        counts[PyramidPartition(pile).volume()] += 1
     assert counts == PYRAMID_COUNTS_8
 
 
@@ -77,21 +77,22 @@ def test_word_model_equivalence():
         reached[step] = nxt
         frontier = nxt
     for n in range(6):
-        enumerated = {frozenset(p.bricks) for p in enumerate_pyramids(5) if p.volume() == n}
+        piles = map(PyramidPartition, enumerate_pyramids(5))
+        enumerated = {frozenset(p.bricks) for p in piles if p.volume() == n}
         assert enumerated == reached[n]
 
 
 def test_slice_colours_follow_the_table():
-    for p in enumerate_pyramids(6):
-        for x, y, z in p.bricks:
+    for pile in enumerate_pyramids(6):
+        for x, y, z in PyramidPartition(pile).bricks:
             assert colour_index((x, y, z)) == SLICE_COLOUR[(x - z) % 4]
 
 
 def test_slices_interlace():
     # neighbouring slices interlace, plainly from even indices, conjugately
     # from odd ones, with the inner slice on top
-    for p in enumerate_pyramids(6):
-        sl = dict(p.slices())
+    for pile in enumerate_pyramids(6):
+        sl = dict(PyramidPartition(pile).slices())
         lo = min(sl) - 1 if sl else 0
         hi = max(sl) + 1 if sl else 0
         for s in range(lo, hi):
@@ -106,7 +107,7 @@ def test_slices_interlace():
 
 def test_slices_determine_the_pile():
     seen = {}
-    for p in enumerate_pyramids(6):
+    for p in map(PyramidPartition, enumerate_pyramids(6)):
         key = tuple(sorted(p.slices().items()))
         assert key not in seen
         seen[key] = p

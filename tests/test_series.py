@@ -143,7 +143,7 @@ def unit_series(draw):
     s = Series.one(V, trunc) * draw(st.sampled_from((1, -1)))
     exps = st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(any)
     for e, coef in draw(st.lists(st.tuples(exps, st.integers(-3, 3).filter(bool)), max_size=5)):
-        s = s + Series.from_monomial(Monomial(V, e), trunc, coef)
+        s = s + Series.from_monomial(Monomial(V, e), trunc) * coef
     return s
 
 
@@ -374,6 +374,38 @@ def test_reader_rejects_what_the_writer_never_writes(change):
         Series.from_json_dict(_document(change))
 
 
+MISSHAPEN_DOCUMENTS = {
+    "document a list": [],
+    "terms a string": dict(_document(), terms="ab"),
+    "term a list": dict(_document(), terms=[[0, 0]]),
+    "terms missing": {"vars": ["x", "y"], "trunc": 3},
+    "coef missing": dict(_document(), terms=[{"exp": [0, 0]}]),
+}
+
+
+@pytest.mark.parametrize("data", MISSHAPEN_DOCUMENTS.values(), ids=MISSHAPEN_DOCUMENTS)
+def test_reader_rejects_a_misshapen_document_with_value_error(data):
+    with pytest.raises(ValueError):
+        Series.from_json_dict(data)
+
+
+BAD_EXPONENTS = {"bool": (True, 0), "negative": (-1, 1), "float": (1.0, 0), "string": ("a", 0), "short": (1,)}
+
+
+@pytest.mark.parametrize("exps", BAD_EXPONENTS.values(), ids=BAD_EXPONENTS)
+def test_every_exponent_reader_refuses_a_bad_vector(exps):
+    V = ("x", "y")
+    s = Series.from_terms(V, 3, {(1, 0): 2})
+    for read in (
+        lambda: s.coefficient(exps),
+        lambda: Series.from_terms(V, 3, {exps: 1}),
+        lambda: Monomial(V, exps),
+        lambda: Series.from_json_dict(dict(s.to_json_dict(), terms=[{"exp": list(exps), "coef": "1"}])),
+    ):
+        with pytest.raises(ValueError):
+            read()
+
+
 BOOL_ARGUMENTS = {
     "monomial exponent": lambda: Monomial(("x",), (True,)),
     "monomial sign": lambda: Monomial(("x",), (1,), sign=True),
@@ -517,6 +549,10 @@ CLI_DIGESTS = {
     ("enum klein -N 15", "json"): "15d6346f9e8785674046492cbe2074f5ce9f874194d6245e313f2fef9c4c7761",
     ("sign zn:3 -N 14", "json"): "1aa10f00df6b4e88c568becc36c2bd772d2999a9104c5988cfb08eaabcbb6bf6",
     ("enum zn:7 -N 14", "json"): "5e4ccb6e086edf511233d04ed312bb26a67e2f56b897d6adbb0612eb6677db17",
+    # the brick piles of the perfbench `enumerate` workload, recorded while each pile
+    # was still built as a PyramidPartition
+    ("pyramid -N 13", "json"): "7c685e3d0462c504e6888577248518343e462c61533c9dbdd55a3e6de006b1f9",
+    ("pyramid -N 13", "csv"): "6d04e54f40906764d52370699b273d8f10ff6c78d47a1d5873f3cf2e3e1180e4",
 }
 
 
