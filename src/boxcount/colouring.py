@@ -13,10 +13,11 @@ significant.  Three actions are supported:
 * ``z3diag`` -- ((3, (1, 1, 1)),): colouring by (x + y + z) mod 3.
 
 `colour_index` and `compose` read the characters alone, through
-`Group.digits`, the one place that knows the element layout.  A group's
-`kind` (its name up to the first colon) keys the closed-form records in
-`boxcount.formulas`, and nothing here.  Each group carries one series
-variable per element, identity first.
+`Group.digits`, the one place that knows the element layout; every other
+module, the transfer machines' slice colours too, reads colours through
+them.  A group's `kind` (its name up to the first colon) keys the
+closed-form records in `boxcount.formulas`, and nothing here.  Each group
+carries one series variable per element, identity first.
 
 `Group` is a plain immutable record, a NamedTuple of (name, variables,
 characters) like the other records of the package, so that importing it

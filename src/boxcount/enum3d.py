@@ -182,4 +182,4 @@ def coloured_series(group, trunc):
         [index[p] for p in ((x - 1, y, z), (x, y - 1, z), (x, y, z - 1)) if p in index] for x, y, z in cells
     ]
     step = [var_key(group.order, colouring.colour_index(group, *c)) for c in cells]
-    return Series(group.variables, trunc, ideals.key_series(parents, step, trunc), _trusted=True)
+    return Series(group.variables, trunc, ideals.key_series(parents, step, trunc))

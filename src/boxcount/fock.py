@@ -28,12 +28,13 @@ record's creator (argument 1, conjugating first when primed) then its
 weight, read back on the vacuum.  `MACHINES` holds the pyramid tables, and
 `machine(name)` builds every box-pile table from its group.
 
-A box-pile machine reads its colours from the group's characters alone.
+A box-pile machine reads its colours through `colouring.colour_index`.
 Cell (row i, column j) of slice s is the box (i+s, i, j) for s >= 0 and
-(i, i-s, j) below.  A character (n, (a, b, c)) with a + b + c = 0 mod n
-gives it the digit (c*(j-i) + a*s) mod n for s >= 0 and
-(c*(j-i) + b*|s|) mod n below, so each slice's colour is a function of the
-cell content j - i modulo the lcm of the moduli with c != 0 mod n.
+(i, i-s, j) below.  A character's digit is linear in the coordinates,
+with coefficients summing to 0 mod n, so that box has the colour of the
+box (max(s, 0), max(-s, 0), j - i), and each slice's colour is a function
+of the cell content j - i modulo the additive order of the colour of the
+box (0, 0, 1).
 
 The walk is pruned by one bound read off the word.  After a creator makes
 a partition lam, the least path down the rest of the word drops lam's
@@ -67,13 +68,12 @@ carrying them down; m is a measured function of N.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import lcm
 from operator import mul
 from typing import Callable, NamedTuple
 
 from boxcount import _kernels, young
-from boxcount.colouring import KLEIN_VARS, SLICE_COLOUR, Group, klein_group, parse_group
-from boxcount.series import Monomial, Series, degree_shift, var_key
+from boxcount.colouring import KLEIN_VARS, SLICE_COLOUR, Group, colour_index, klein_group, parse_group
+from boxcount.series import Monomial, Series, check_trunc, check_vars, degree_shift, var_key
 
 
 class FockState(NamedTuple):
@@ -94,10 +94,12 @@ class FockState(NamedTuple):
     @classmethod
     def basis(cls, lam, vars, trunc):
         young.check_partition(lam)
+        check_vars(vars)
+        check_trunc(trunc)
         return cls(vars, trunc, {lam: {0: 1}})
 
     def amplitude(self, lam):
-        return Series(self.vars, self.trunc, dict(self.amps.get(lam, {})), _trusted=True)
+        return Series(self.vars, self.trunc, dict(self.amps.get(lam, {})))
 
     def scale(self, series):
         """Multiply every amplitude by a series (or monomial) factor."""
@@ -320,15 +322,12 @@ class Machine(NamedTuple):
 
 
 def group_machine(group):
-    """The box-pile slice table of a group, coloured by its characters."""
-    digits = group.digits
-    period = lcm(*(n for n, _, _, c, _ in digits if c % n))
+    """The box-pile slice table of a group, coloured through `colour_index`."""
+    # the additive order of the colour of the box (0, 0, 1): the box (0, 0, p) has p times that colour
+    period = next(p for p in range(1, group.order + 1) if not colour_index(group, 0, 0, p))
 
     def slices(s):
-        colours = [
-            sum((c * t + (a * s if s >= 0 else -b * s)) % n * place for n, a, b, c, place in digits)
-            for t in range(period)
-        ]
+        colours = [colour_index(group, max(s, 0), max(-s, 0), t) for t in range(period)]
         return weight_op(*colours), False
 
     return Machine(group.variables, slices, group)
@@ -443,4 +442,4 @@ def evaluate(machine, trunc):
     for mu, amp in top.items():
         if mu in bottom:
             _kernels.scale_accumulate(out, _kernels.mul_terms(amp, bottom[mu], trunc, shift), 0, 1, trunc, shift)
-    return Series(machine.vars, trunc, out, _trusted=True)
+    return Series(machine.vars, trunc, out)

@@ -148,4 +148,4 @@ def pyramid_series(trunc):
     for pile in enumerate_pyramids(trunc):
         key = sum(map(step, pile))
         terms[key] = terms.get(key, 0) + 1
-    return Series(KLEIN_VARS, trunc, terms, _trusted=True)
+    return Series(KLEIN_VARS, trunc, terms)

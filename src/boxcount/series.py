@@ -20,6 +20,13 @@ so any order up to 255 would fit the lanes.  MAX_TRUNC = 63 is the range
 the package accepts, not a layout limit, as MAX_VARS = 7 is the colour
 count of zn:7, the largest group built.
 
+`Series(vars, trunc, terms)` is the one constructor, and every series
+passes its checks: it keeps the packed-term dict it is given and raises
+ValueError for a coefficient that is not a non-zero int (bools refused) or
+a key of degree above `trunc`, each check one pass at C speed over the dict.
+`Series.from_terms` takes exponent tuples, sums equal ones and drops zero
+sums and terms above `trunc`.
+
 `Series.to_json` and `Series.to_csv` make their text WRITE_BLOCK terms at a
 time and can hand each block to a stream as soon as it is made, so printing
 a series never holds its whole text.  A block is one `%` of the term form
@@ -63,7 +70,7 @@ _LANE = 8
 WRITE_BLOCK = 128
 
 
-def _check_vars(vars):
+def check_vars(vars):
     if not isinstance(vars, tuple) or not vars:
         raise ValueError("vars must be a non-empty tuple of names")
     if len(vars) > MAX_VARS:
@@ -75,7 +82,7 @@ def _check_vars(vars):
             raise ValueError(f"bad variable name {v!r}")
 
 
-def _check_trunc(trunc):
+def check_trunc(trunc):
     if type(trunc) is not int or not 0 <= trunc <= MAX_TRUNC:
         raise ValueError(f"trunc must be an integer in [0, {MAX_TRUNC}]")
 
@@ -119,7 +126,7 @@ class Monomial:
     __slots__ = ("vars", "exps", "sign")
 
     def __init__(self, vars, exps, sign=1):
-        _check_vars(vars)
+        check_vars(vars)
         exps = _check_exps(exps, len(vars))
         if type(sign) is not int or sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
@@ -203,7 +210,8 @@ def _render_monomial(vars, exps):
 
 
 class Series:
-    """A power series truncated at total degree `trunc`.
+    """A power series truncated at total degree `trunc`, its `terms` a dict
+    of packed keys to coefficients that the constructor checks and keeps.
 
     Instances are immutable; every operation returns a new series.  Binary
     operations require identical variable tuples and truncate the result to
@@ -212,22 +220,19 @@ class Series:
 
     __slots__ = ("vars", "trunc", "_terms")
 
-    def __init__(self, vars, trunc, terms=None, _trusted=False):
-        _check_vars(vars)
-        _check_trunc(trunc)
+    def __init__(self, vars, trunc, terms=None):
+        check_vars(vars)
+        check_trunc(trunc)
+        if not terms:
+            terms = {}
+        elif set(map(type, terms.values())) != {int}:
+            raise ValueError("coefficients must be ints")
+        elif 0 in terms.values():
+            raise ValueError("a stored coefficient is zero")
+        elif max(terms) >> degree_shift(len(vars)) > trunc:
+            raise ValueError("a term lies above the truncation order")
         object.__setattr__(self, "vars", vars)
         object.__setattr__(self, "trunc", trunc)
-        if terms is None:
-            terms = {}
-        elif not _trusted:
-            shift = degree_shift(len(vars))
-            clean = {}
-            for k, c in terms.items():
-                if type(c) is not int:
-                    raise ValueError("coefficients must be ints")
-                if c and (k >> shift) <= trunc:
-                    clean[k] = c
-            terms = clean
         object.__setattr__(self, "_terms", terms)
 
     def __setattr__(self, name, value):
@@ -237,28 +242,29 @@ class Series:
 
     @classmethod
     def zero(cls, vars, trunc):
-        return cls(vars, trunc, {}, _trusted=True)
+        return cls(vars, trunc)
 
     @classmethod
     def one(cls, vars, trunc):
-        return cls(vars, trunc, {0: 1}, _trusted=True)
+        return cls(vars, trunc, {0: 1})
 
     @classmethod
     def from_monomial(cls, mono, trunc):
-        if mono.degree > trunc:
-            return cls.zero(mono.vars, trunc)
-        return cls(mono.vars, trunc, {mono.packed(): mono.sign}, _trusted=True)
+        return cls(mono.vars, trunc, {mono.packed(): mono.sign} if mono.degree <= trunc else None)
 
     @classmethod
     def from_terms(cls, vars, trunc, terms):
-        """Build from a mapping of exponent tuples to coefficients."""
-        _check_vars(vars)
+        """Build from a mapping of exponent tuples to coefficients, summing
+        equal exponents and dropping zero sums and terms above `trunc`."""
+        check_vars(vars)
+        check_trunc(trunc)
+        shift = degree_shift(len(vars))
         packed = {}
         for exps, coef in terms.items():
             key = _pack(_check_exps(exps, len(vars)))
             if type(coef) is not int:
                 raise ValueError("coefficients must be ints")
-            if coef:
+            if key >> shift <= trunc:
                 packed[key] = packed.get(key, 0) + coef
         return cls(vars, trunc, {k: c for k, c in packed.items() if c})
 
@@ -346,7 +352,7 @@ class Series:
 
     def _coerce(self, other):
         if isinstance(other, int):
-            return Series(self.vars, self.trunc, {0: other} if other else {}, _trusted=True)
+            return Series(self.vars, self.trunc, {0: other} if other else {})
         if isinstance(other, Monomial):
             other = Series.from_monomial(other, self.trunc)
         elif not isinstance(other, Series):
@@ -361,12 +367,7 @@ class Series:
                 return self
             raise ValueError("cannot raise the truncation order")
         shift = self._shift
-        return Series(
-            self.vars,
-            trunc,
-            {k: c for k, c in self._terms.items() if (k >> shift) <= trunc},
-            _trusted=True,
-        )
+        return Series(self.vars, trunc, {k: c for k, c in self._terms.items() if (k >> shift) <= trunc})
 
     def __add__(self, other):
         rhs = self._coerce(other)
@@ -377,7 +378,7 @@ class Series:
         out = {}
         _kernels.scale_accumulate(out, self._terms, 0, 1, trunc, shift)
         _kernels.scale_accumulate(out, rhs._terms, 0, 1, trunc, shift)
-        return Series(self.vars, trunc, out, _trusted=True)
+        return Series(self.vars, trunc, out)
 
     __radd__ = __add__
 
@@ -394,9 +395,7 @@ class Series:
         return rhs + (-self)
 
     def __neg__(self):
-        return Series(
-            self.vars, self.trunc, {k: -c for k, c in self._terms.items()}, _trusted=True
-        )
+        return Series(self.vars, self.trunc, {k: -c for k, c in self._terms.items()})
 
     def __mul__(self, other):
         rhs = self._coerce(other)
@@ -404,7 +403,7 @@ class Series:
             return NotImplemented
         trunc = min(self.trunc, rhs.trunc)
         terms = _kernels.mul_terms(self._terms, rhs._terms, trunc, self._shift)
-        return Series(self.vars, trunc, terms, _trusted=True)
+        return Series(self.vars, trunc, terms)
 
     __rmul__ = __mul__
 
@@ -436,7 +435,7 @@ class Series:
         steps = sorted((k >> shift, k, -c0 * c) for k, c in self._terms.items() if k)
         if steps:
             _pass(parts, steps, True, self.trunc, shift)
-        return Series(self.vars, self.trunc, _merge(parts), _trusted=True)
+        return Series(self.vars, self.trunc, _merge(parts))
 
     def substitute_signs(self, names):
         """Substitute q -> -q for each variable named in `names`."""
@@ -457,7 +456,7 @@ class Series:
             # bit 0 of a lane is its exponent mod 2
             q = sum(((key >> (_LANE * (m - 1 - i))) & 1) << i for i in range(m))
             out[key] = -c if odd[q] else c
-        return Series(self.vars, self.trunc, out, _trusted=True)
+        return Series(self.vars, self.trunc, out)
 
     # -- serialization ---------------------------------------------------
 
@@ -500,21 +499,20 @@ class Series:
         if not isinstance(vars, list) or not all(isinstance(v, str) for v in vars):
             raise ValueError("vars must be a list of names")
         vars = tuple(vars)
-        _check_trunc(trunc)
+        check_trunc(trunc)
         terms = {}
         last = -1
         for item in data["terms"]:
-            exps, coef = _check_exps(item["exp"], len(vars)), item["coef"]
-            if sum(exps) > trunc:
-                raise ValueError("term above the truncation order")
-            if not isinstance(coef, str) or coef == "0" or str(int(coef)) != coef:
-                raise ValueError(f"coefficient {coef!r} is not a non-zero canonical decimal string")
-            key = _pack(exps)
+            coef = item["coef"]
+            # the constructor refuses a zero coefficient and a term above trunc
+            if not isinstance(coef, str) or str(int(coef)) != coef:
+                raise ValueError(f"coefficient {coef!r} is not a canonical decimal string")
+            key = _pack(_check_exps(item["exp"], len(vars)))
             if key <= last:
                 raise ValueError("terms are not in strictly increasing canonical order")
             terms[key] = int(coef)
             last = key
-        return cls(vars, trunc, terms, _trusted=True)
+        return cls(vars, trunc, terms)
 
     @classmethod
     def from_json(cls, text):
@@ -611,8 +609,8 @@ def euler_product(vars, trunc, factors):
     divided; then decreasing degree of u, packed u and its sign break the
     remaining ties.
     """
-    _check_vars(vars)
-    _check_trunc(trunc)
+    check_vars(vars)
+    check_trunc(trunc)
     shift = degree_shift(len(vars))
     merged = {}  # (degree of u, packed u, sign of u) -> summed e
     for u, e in factors:
@@ -620,6 +618,8 @@ def euler_product(vars, trunc, factors):
             raise ValueError("variable sets differ")
         if u.degree == 0:
             raise ValueError("factor argument must have positive degree")
+        if type(e) is not int:
+            raise ValueError("factor exponent must be an integer")
         key = (u.degree, u.packed(), u.sign)
         merged[key] = merged.get(key, 0) + e
     parts = [{0: 1}] + [{} for _ in range(trunc)]  # parts[D] is the degree-D part
@@ -634,7 +634,7 @@ def euler_product(vars, trunc, factors):
             for j in range(1, min(n, trunc // d) + 1)
         ]
         _pass(parts, steps, e > 0, trunc, shift)
-    return Series(vars, trunc, _merge(parts), _trusted=True)
+    return Series(vars, trunc, _merge(parts))
 
 
 def macmahon_factors(x, q, trunc, two_sided=False):

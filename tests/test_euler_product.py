@@ -151,6 +151,14 @@ def test_equal_factors_merge():
     assert euler_product(V, N, mixed) == euler_product(V, N, [(x, 1), (-x, 2), (-xy2, -3)])
 
 
+@pytest.mark.parametrize("e", [True, 1.5, 1.0, "1"])
+def test_factor_exponents_must_be_ints(e):
+    # a bool would be read as 1, and math.comb refuses a float with TypeError
+    x = Monomial.var(("x",), "x")
+    with pytest.raises(ValueError, match="factor exponent"):
+        euler_product(("x",), 4, [(x, e)])
+
+
 @pytest.mark.parametrize("e", [-30, -17, -1, 1, 2, 30])
 def test_large_exponents_of_signed_half_unit_factors(e):
     # u of degree 1, the least a factor can have, takes the most steps

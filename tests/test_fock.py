@@ -173,6 +173,15 @@ def test_state_algebra():
     assert repr(two) == f"FockState(1 partitions; N={N})"
 
 
+@pytest.mark.parametrize(
+    "vars, trunc", [(("x",), 300), (("x", "x"), 3), (("x",), True)], ids=["trunc past the lanes", "repeated name", "trunc bool"]
+)
+def test_states_refuse_the_rings_series_refuse(vars, trunc):
+    for build in (Series.zero, FockState.vacuum, lambda v, t: FockState.basis((1,), v, t)):
+        with pytest.raises(ValueError):
+            build(vars, trunc)
+
+
 V2 = ("x", "y")
 ARGS2 = [Monomial.var(V2, "x"), -Monomial.var(V2, "x"), -Monomial.var(V2, "y"), Monomial.one(V2)]
 mixed_ops = st.one_of(
@@ -401,8 +410,8 @@ COLOURED_GROUPS = [zn_group(n) for n in range(1, 8)] + [klein_group(), z3diag_gr
 
 @pytest.mark.parametrize("group", COLOURED_GROUPS, ids=str)
 def test_machine_cell_colours_equal_box_colours(group):
-    # the machine reads its colours from the characters; colour_index is the
-    # independent per-box reference.  Cell (i, j) of slice s is the box
+    # the machine reads one colour per content j - i, that of the box
+    # (max(s, 0), max(-s, 0), j - i); cell (i, j) of slice s is the box
     # (i+s, i, j) on the raising slices s >= 0 and (i, i-s, j) below.
     machine = fock.machine(str(group))
     assert machine.vars == group.variables and machine.group == group

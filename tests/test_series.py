@@ -406,6 +406,20 @@ def test_every_exponent_reader_refuses_a_bad_vector(exps):
             read()
 
 
+def test_the_constructor_refuses_what_from_terms_drops():
+    V = ("x",)
+    x = var_key(1, 0)
+    # a zero coefficient and a term above the truncation are refused, not dropped
+    for terms in ({0: 1, x: 0}, {0: 1, 4 * x: 1}):
+        with pytest.raises(ValueError):
+            Series(V, 3, terms)
+    assert Series(V, 3, {0: 1, 3 * x: -2}).coefficient((3,)) == -2
+    # from_terms drops both
+    s = Series.from_terms(V, 3, {(0,): 1, (1,): 0, (2,): 5, (4,): 7})
+    assert s == Series(V, 3, {0: 1, 2 * x: 5}) and len(s) == 2
+    assert Series.from_terms(V, 0, {(1,): 1}).is_zero()
+
+
 BOOL_ARGUMENTS = {
     "monomial exponent": lambda: Monomial(("x",), (True,)),
     "monomial sign": lambda: Monomial(("x",), (1,), sign=True),
