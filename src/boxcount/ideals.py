@@ -12,13 +12,13 @@ are thereby left out of the whole branch, so the branches below one ideal
 split its extensions by their first frontier element and no ideal is
 reached twice.
 
-`order_ideals` yields each ideal as a list; it feeds the brick piles of
-`boxcount.pyramid`, each yielded as a list of bricks.  `key_series` runs
-the same walk but only counts: each element carries an integer step, and
-it returns how many ideals have each step sum.  It carries the sum down
-the walk, one addition per ideal, and counts the ideals of the largest
-size from their parent's frontier without descending to them.  The box
-piles of `boxcount.enum3d` are counted this way.
+`order_ideals` yields each ideal as one reused list; it feeds the brick
+piles of `boxcount.pyramid`, yielded as one reused list of bricks.
+`key_series` runs the same walk but only counts: each element carries an
+integer step, and it returns how many ideals have each step sum.  It
+carries the sum down the walk, one addition per ideal, and counts the
+ideals of the largest size from their parent's frontier without descending
+to them.  The box piles of `boxcount.enum3d` are counted this way.
 """
 
 from __future__ import annotations

@@ -16,9 +16,11 @@ slice index mod 4.
 
 The piles of at most n bricks are the order ideals of the bricks of layers
 below n (`brick_poset`).  `enumerate_pyramids` walks them with
-`ideals.order_ideals` and yields each pile once as a plain list of bricks,
-whose colour keys `pyramid_series` sums.  `PyramidPartition` checks a pile
-and reads its diagonal slices.
+`ideals.order_ideals` and yields each pile once as one reused list of
+bricks, which a pile of k bricks extends from the last pile of k - 1.
+`pyramid_series` keeps one key per size and adds the new brick's colour to
+the key below it.  `PyramidPartition` checks a pile and reads its diagonal
+slices.
 """
 
 from __future__ import annotations
@@ -130,13 +132,22 @@ def enumerate_pyramids(max_bricks):
     """Yield every pile with at most max_bricks bricks, each exactly once.
 
     One reverse-search walk over `brick_poset(max_bricks)` yields each pile,
-    already closed, as a new list of its bricks in the order they were added.
+    already closed, as the list of its bricks in the order they were added.
+    The list is reused, as `ideals.order_ideals` reuses its ideal: it is
+    valid only until the next step, and a pile of k bricks extends the last
+    one yielded of k - 1 by one brick.
     """
     if max_bricks < 0:
         raise ValueError("max_bricks must be non-negative")
     bricks, parent_idx, _ = brick_poset(max_bricks)
-    for ideal in ideals.order_ideals(parent_idx, max_bricks):
-        yield [bricks[i] for i in ideal]
+    walk = ideals.order_ideals(parent_idx, max_bricks)
+    next(walk)  # the empty ideal
+    pile = []
+    yield pile
+    for ideal in walk:
+        del pile[len(ideal) - 1:]
+        pile.append(bricks[ideal[-1]])
+        yield pile
 
 
 def pyramid_series(trunc):
@@ -144,8 +155,13 @@ def pyramid_series(trunc):
     bricks, _, steps = brick_poset(trunc)
     # each brick a pile holds adds its packed colour and degree to the pile's key
     step = dict(zip(bricks, steps)).__getitem__
-    terms = {}
-    for pile in enumerate_pyramids(trunc):
-        key = sum(map(step, pile))
-        terms[key] = terms.get(key, 0) + 1
+    keys = [0] * (trunc + 1)  # keys[k]: the key of the last pile of k bricks
+    piles = enumerate_pyramids(trunc)
+    next(piles)  # the empty pile, at key 0
+    terms = {0: 1}
+    get = terms.get
+    for pile in piles:
+        k = len(pile)
+        key = keys[k] = keys[k - 1] + step(pile[-1])
+        terms[key] = get(key, 0) + 1
     return Series(KLEIN_VARS, trunc, terms)

@@ -22,8 +22,9 @@ count of zn:7, the largest group built.
 
 `Series(vars, trunc, terms)` is the one constructor, and every series
 passes its checks: it keeps the packed-term dict it is given and raises
-ValueError for a coefficient that is not a non-zero int (bools refused) or
-a key of degree above `trunc`, each check one pass at C speed over the dict.
+ValueError for a coefficient that is not a non-zero int (bools refused), a
+key of degree above `trunc` or a negative key, each check one pass at C
+speed over the dict.  Arithmetic takes ints but not bools as constants.
 `Series.from_terms` takes exponent tuples, sums equal ones and drops zero
 sums and terms above `trunc`.
 
@@ -231,6 +232,8 @@ class Series:
             raise ValueError("a stored coefficient is zero")
         elif max(terms) >> degree_shift(len(vars)) > trunc:
             raise ValueError("a term lies above the truncation order")
+        elif min(terms) < 0:
+            raise ValueError("a packed key is negative")
         object.__setattr__(self, "vars", vars)
         object.__setattr__(self, "trunc", trunc)
         object.__setattr__(self, "_terms", terms)
@@ -351,7 +354,7 @@ class Series:
     # -- arithmetic ------------------------------------------------------
 
     def _coerce(self, other):
-        if isinstance(other, int):
+        if type(other) is int:
             return Series(self.vars, self.trunc, {0: other} if other else {})
         if isinstance(other, Monomial):
             other = Series.from_monomial(other, self.trunc)

@@ -61,6 +61,13 @@ def test_verify_targets_agree(capsys, target):
     assert out.startswith("ok:")
 
 
+def test_verify_pyramid_at_the_enumeration_cap(capsys):
+    # the brick walk backtracks deepest here
+    code, out = run(capsys, "verify", "pyramid", "-N", str(cli.MAX_ENUM_TRUNC))
+    assert code == 0
+    assert out.startswith("ok:")
+
+
 def test_verify_ops(capsys):
     code, out = run(capsys, "verify-ops", "-N", str(relations.MIN_TRUNC), "--basis", "2")
     assert code == 0

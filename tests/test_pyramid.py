@@ -39,6 +39,16 @@ def test_counts_fixture():
     assert counts == PYRAMID_COUNTS_8
 
 
+def test_each_pile_extends_the_last_one_yielded_one_brick_smaller():
+    # the yielded list is reused, so the piles are compared as copies
+    last = {0: []}
+    for pile in enumerate_pyramids(9):
+        if pile:
+            assert pile[:-1] == last[len(pile) - 1]
+        last[len(pile)] = list(pile)
+    assert len(last) == 10
+
+
 def test_coloured_fixture():
     got = {e: c for e, c in pyramid_series(7).items()}
     assert got == PYRAMID_COLOURS_7

@@ -420,6 +420,28 @@ def test_the_constructor_refuses_what_from_terms_drops():
     assert Series.from_terms(V, 0, {(1,): 1}).is_zero()
 
 
+def test_the_constructor_refuses_negative_keys():
+    # a negative key has no exponents to write: pretty() would overflow
+    for terms in ({-5: 1}, {0: 1, -1: 2}):
+        with pytest.raises(ValueError):
+            Series(("x",), 3, terms)
+
+
+BOOL_CONSTANTS = {
+    "s + True": lambda s: s + True,
+    "s + False": lambda s: s + False,
+    "s * True": lambda s: s * True,
+    "True * s": lambda s: True * s,
+}
+
+
+@pytest.mark.parametrize("combine", BOOL_CONSTANTS.values(), ids=BOOL_CONSTANTS)
+def test_arithmetic_refuses_bool_constants(combine):
+    # False would otherwise act as 0 and True be refused only as a coefficient
+    with pytest.raises(TypeError):
+        combine(Series.one(("x",), 3))
+
+
 BOOL_ARGUMENTS = {
     "monomial exponent": lambda: Monomial(("x",), (True,)),
     "monomial sign": lambda: Monomial(("x",), (1,), sign=True),
