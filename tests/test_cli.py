@@ -387,20 +387,120 @@ def test_startup_imports_no_dataclasses_or_inspect():
     assert sorted(loaded & {"dataclasses", "inspect", "json", *UNLOADED_BY_THE_PARSER}) == []
 
 
-def test_closed_pipe_exits_141_quietly():
-    # the reader takes 10 bytes of a 290 kB document and closes the pipe
+def fresh_cli(*argv, stdout):
+    """A `python -m boxcount.cli` process, its stderr piped."""
     src = str(Path(boxcount.__file__).resolve().parent.parent)
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "boxcount.cli", "formula", "klein", "-N", "30", "--format", "json"],
-        env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-    )
-    try:
-        assert proc.stdout.read(10) == b'{"vars": ['
-        proc.stdout.close()
-        assert proc.wait(timeout=20) == 141
-        assert proc.stderr.read() == b""
-    finally:
-        proc.kill()
-        proc.wait()
-        proc.stdout.close()
-        proc.stderr.close()
+    return subprocess.Popen([sys.executable, "-m", "boxcount.cli", *argv], env=dict(os.environ, PYTHONPATH=src),
+                            stdout=stdout, stderr=subprocess.PIPE)
+
+
+def test_closed_pipe_exits_141_quietly():
+    # the reader takes 10 bytes of a 290 kB document and closes the pipe; or it
+    # closes the pipe at once, before verify's one line, written by the final flush
+    for argv, head in (["formula", "klein", "-N", "30", "--format", "json"], b'{"vars": ['), \
+                      (["verify", "klein", "-N", "6"], b""):
+        proc = fresh_cli(*argv, stdout=subprocess.PIPE)
+        try:
+            assert proc.stdout.read(len(head)) == head
+            proc.stdout.close()
+            assert proc.wait(timeout=20) == 141, argv
+            assert proc.stderr.read() == b"", argv
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stdout.close()
+            proc.stderr.close()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [["formula", "klein", "-N", "30", "--format", "json"], ["verify", "klein", "-N", "4"]],
+                         ids=["formula", "verify"])
+def test_unwritable_stdout_exits_74_with_one_line(argv):
+    with open("/dev/full", "wb") as full:
+        proc = fresh_cli(*argv, stdout=full)
+        _, err = proc.communicate(timeout=20)
+    assert proc.returncode == 74
+    assert err.decode().splitlines() == ["boxcount: error: cannot write output: No space left on device"]
+
+
+# run as `python -m boxcount.cli` runs it, after registering an exit handler
+FAST_EXIT_PROBE = """import atexit, runpy, sys
+atexit.register(lambda: sys.stderr.write("atexit ran\\n"))
+sys.argv = ["boxcount", *{argv!r}]
+runpy.run_module("boxcount.cli", run_name="__main__")
+"""
+
+
+@pytest.mark.parametrize("argv, code", [(["enum", "zn:2", "-N", "3"], 0), (["enum", "zn:2", "-N", "x"], 2), (["-h"], 0)],
+                         ids=["output", "usage-error", "help"])
+def test_a_process_ends_without_interpreter_teardown(capsys, argv, code):
+    src = str(Path(boxcount.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", FAST_EXIT_PROBE.format(argv=argv)],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=20)
+    assert proc.returncode == code, proc.stderr
+    assert "atexit ran" not in proc.stderr
+    if code == 0:
+        assert run(capsys, *argv) == (0, proc.stdout)
+    else:
+        assert "boxcount enum: error:" in proc.stderr
+
+
+class Exited(Exception):
+    pass
+
+
+@pytest.fixture
+def exits(monkeypatch):
+    """The codes handed to os._exit, which raises Exited in place of ending the process."""
+    codes = []
+
+    def exit_(code):
+        codes.append(code)
+        raise Exited
+
+    monkeypatch.setattr(os, "_exit", exit_)
+    return codes
+
+
+@pytest.mark.parametrize("code", [0, 1, 141])
+def test_run_exits_with_the_code_main_returns(monkeypatch, exits, code):
+    monkeypatch.setattr(cli, "main", lambda: code)
+    with pytest.raises(Exited):
+        cli.run()
+    assert exits == [code]
+
+
+def test_run_exits_2_on_a_usage_error(monkeypatch, capsys, exits):
+    monkeypatch.setattr(sys, "argv", ["boxcount", "enum", "zn:2", "-N", "x"])
+    with pytest.raises(Exited):
+        cli.run()
+    assert exits == [2]
+    assert "boxcount enum: error:" in capsys.readouterr().err
+
+
+def test_run_lets_other_exceptions_propagate(monkeypatch, exits):
+    def fail():
+        raise ValueError("not a usage error")
+
+    monkeypatch.setattr(cli, "main", fail)
+    with pytest.raises(ValueError, match="not a usage error"):
+        cli.run()
+    assert exits == []
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_run_reports_output_its_own_flush_cannot_write(monkeypatch, capsys, exits):
+    with open("/dev/full", "w") as full:
+        monkeypatch.setattr(sys, "stdout", full)
+        monkeypatch.setattr(cli, "main", lambda: print("left in the buffer") or 0)
+        with pytest.raises(Exited):
+            cli.run()
+    assert exits == [74]
+    assert capsys.readouterr().err == "boxcount: error: cannot write output: No space left on device\n"
+
+
+def test_the_console_script_enters_through_run():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    module, _, name = tomllib.loads(pyproject.read_text())["project"]["scripts"]["boxcount"].partition(":")
+    assert module == "boxcount.cli" and getattr(cli, name) is cli.run

@@ -1,8 +1,12 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from operator import add
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -596,3 +600,18 @@ CLI_DIGESTS = {
 def test_cli_output_bytes_are_pinned(capsys, command, fmt):
     assert cli.main([*command.split(), "--format", fmt]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == CLI_DIGESTS[command, fmt]
+
+
+# the largest pin of each format: 891 kB of json, 115 kB of csv, 2.6 kB of pretty text
+LARGEST_PINS = [("dt zn:5 -N 24 --side resolution", "json"), ("formula klein -N 30", "csv"),
+                ("dt zn:3 -N 12 --side resolution --max-terms 500", "pretty")]
+
+
+@pytest.mark.parametrize("command, fmt", LARGEST_PINS, ids=[f"{c} {f}" for c, f in LARGEST_PINS])
+def test_fresh_processes_write_the_pinned_bytes(command, fmt):
+    # a process ends with os._exit in cli.run, so every byte must be written before it
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-m", "boxcount.cli", *command.split(), "--format", fmt],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == CLI_DIGESTS[command, fmt]
