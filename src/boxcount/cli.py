@@ -9,6 +9,7 @@ them.  Then it prints the route, or compares the first route with each of
 the others and exits 1 with the first differing monomial.  Exit codes: 0
 agreement, 1 mismatch, 2 usage, 74 (EX_IOERR) when stdout cannot be
 written, 141 (128 + SIGPIPE) when the reader of stdout closes it early.
+A message that stderr cannot take is dropped, and the exit code stands.
 Every process ends in `run`, which flushes stdout and stderr and calls
 `os._exit` with `main`'s code: the interpreter's teardown, which frees every
 module and object, took about 10 ms a command on a 2-core box, more than
@@ -263,8 +264,31 @@ def _help(row):
 def _fail(row, message):
     """Exit 2 on a usage error, after the usage line of `row` (None: boxcount's own)."""
     prog = "boxcount" if row is None else f"boxcount {row[0]}"
-    sys.stderr.write(f"{_usage(row)}\n{prog}: error: {message}\n")
+    _complain(f"{_usage(row)}\n{prog}: error: {message}\n")
     raise SystemExit(2)
+
+
+def _complain(text):
+    """Write `text` to stderr, or point stderr at devnull if it cannot be written.
+
+    The exit code then tells alone, and the failed write is not taken for one to stdout.
+    """
+    try:
+        sys.stderr.write(text)
+        sys.stderr.flush()
+    except OSError:
+        _to_devnull(sys.stderr)
+
+
+def _to_devnull(stream):
+    """Point the file descriptor of `stream` at devnull.
+
+    As the Python `signal` docs advise for a closed pipe, so that a later flush
+    of what is still buffered fails no more.
+    """
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
 
 
 def _convert(row, option, text):
@@ -362,17 +386,11 @@ def run():
 
 
 def _write_failed(exc):
-    """The exit code once a write to stdout raised `exc`; stdout then points at devnull.
-
-    As the Python `signal` docs advise for a closed pipe, stdout goes to devnull, so
-    that a later flush of what is still buffered fails no more.
-    """
-    devnull = os.open(os.devnull, os.O_WRONLY)
-    os.dup2(devnull, sys.stdout.fileno())
-    os.close(devnull)
+    """The exit code once a write to stdout raised `exc`; stdout then points at devnull."""
+    _to_devnull(sys.stdout)
     if isinstance(exc, BrokenPipeError):
         return 141  # 128 + SIGPIPE: the reader has gone, which needs no message
-    sys.stderr.write(f"boxcount: error: cannot write output: {exc.strerror}\n")
+    _complain(f"boxcount: error: cannot write output: {exc.strerror}\n")
     return 74  # EX_IOERR of sysexits.h
 
 

@@ -4,9 +4,10 @@ Every closed form is a product of generalized MacMahon functions, and is
 written here as data: a list of rows (x, q, p, two_sided), each standing
 for M(x, q)**p, or for the two-sided M~(x, q)**p when two_sided is set
 (boxcount.series.macmahon and macmahon_tilde).  A negative power p is a
-denominator.  `evaluate` expands every row into its factor pairs (u, m*p)
-and hands the whole list to boxcount.series.euler_product, which describes
-how the product is expanded.
+denominator.  `evaluate` expands every row into its factor records
+(degree of u, packed u, sign of u, m*p) with boxcount.series.macmahon_records,
+which reads them off the packed keys of x and q, and hands the whole list to
+boxcount.series.euler_records, which describes how the product is expanded.
 
 Each group kind with a closed form is one `ClosedForm` record: its curve
 classes beta (the colour variables beta covers, and its multiplicity n),
@@ -32,7 +33,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from boxcount.colouring import klein_group, zn_group
-from boxcount.series import Monomial, euler_product, macmahon_factors
+from boxcount.series import Monomial, euler_records, macmahon_records
 from boxcount.series import macmahon, macmahon_tilde  # noqa: F401  (re-exported: perfbench/tracer.py probes them here)
 
 
@@ -76,13 +77,18 @@ def regular_monomial(group):
 
 
 def evaluate(rows, trunc):
-    """The product of the MacMahon rows (x, q, p, two_sided), to degree `trunc`."""
-    factors = [
-        (u, m * p)
-        for x, q, p, two_sided in rows
-        for u, m in macmahon_factors(x, q, trunc, two_sided)
-    ]
-    return euler_product(rows[0][1].vars, trunc, factors)
+    """The product of the MacMahon rows (x, q, p, two_sided), to degree `trunc`.
+
+    ValueError for rows on different variables, or for a row that
+    `macmahon_records` refuses.
+    """
+    vars = rows[0][1].vars
+    records = []
+    for x, q, p, two_sided in rows:
+        if q.vars != vars:
+            raise ValueError("variable sets differ")
+        records += macmahon_records(x, q, trunc, two_sided, p)
+    return euler_records(vars, trunc, records)
 
 
 def _rows(q, classes, two_sided, signs=()):

@@ -37,20 +37,26 @@ needs escaping, and `from_json` imports it when called.  `from_json_dict`
 reads only what `to_json_dict` writes, terms in canonical order.
 
 Every infinite product in the package is evaluated by one function,
-`euler_product(vars, trunc, factors)`: the product of (1 - u)**(-e) over a
-list of (signed monomial u of positive degree, integer e) pairs, built by
-changing its parts by degree in place, one merged factor at a time.
+`euler_records(vars, trunc, records)`: the product of (1 - u)**(-e) over a
+list of factor records (degree of u, packed u, sign of u, e), u a signed
+monomial of positive degree and e an int, built by changing its parts by
+degree in place, one merged factor at a time.  The records are data:
+`macmahon_records` reads those of a MacMahon row off the packed keys of
+its x and q, as `_pack` is linear, and `euler_product(vars, trunc,
+factors)` checks a list of (Monomial u, e) pairs and turns it into records.
 Each factor is one pass (`_pass`) over the terms of (1 - u)**|e| cut at
 the cap: walked from the top down it multiplies by that polynomial (e < 0),
 walked upward it divides by it (e > 0), exactly, since every part already
 holds its quotient when it is read.  `Series.inverse` is the same upward pass.
+A pass shifts a part only by the terms that keep it within the cap, so
+its kernel, `_kernels.add_shifted`, makes no degree test.
 Since every pass is exact, the order of the factors only sets the work: a
 pass reads every part in reach once per term, so the factors with the most
 terms, the largest |e|, go first, while the product is still short.  Among
 equal |e| the polynomials go before the divisions: a downward pass reads
 the product it is given, an upward pass the product it makes.
 The MacMahon products `macmahon` and `macmahon_tilde` only build their
-factor lists and call `euler_product`.  They, `Series.inverse` and
+factor records and call `euler_records`.  They, `Series.inverse` and
 `Series.__pow__` remain only for the tests and the perfbench harness's
 probes.
 """
@@ -58,7 +64,7 @@ probes.
 from __future__ import annotations
 
 from math import comb
-from operator import add, sub
+from operator import add, gt, sub
 
 from boxcount import _kernels
 
@@ -104,10 +110,12 @@ def degree_shift(nvars):
 
 
 def _pack(exps):
+    # sums rather than ors, so that the key is linear in the exponents
+    # even where a lane overflows, as `macmahon_records` needs
     key = 0
     for e in exps:
-        key = (key << _LANE) | e
-    return key | (sum(exps) << degree_shift(len(exps)))
+        key = (key << _LANE) + e
+    return key + (sum(exps) << degree_shift(len(exps)))
 
 
 def var_key(nvars, i):
@@ -437,7 +445,7 @@ class Series:
         parts = [{0: c0}] + [{} for _ in range(self.trunc)]
         steps = sorted((k >> shift, k, -c0 * c) for k, c in self._terms.items() if k)
         if steps:
-            _pass(parts, steps, True, self.trunc, shift)
+            _pass(parts, steps, True, self.trunc)
         return Series(self.vars, self.trunc, _merge(parts))
 
     def substitute_signs(self, names):
@@ -560,26 +568,29 @@ class Series:
 # -- product formulas ------------------------------------------------------
 
 
-def _pass(parts, steps, divide, cap, shift):
+def _pass(parts, steps, divide, cap):
     """Multiply the parts by 1 + S, or divide them by 1 - S if `divide`, in
     place, where S is the sum of `steps`.
 
     `parts[D]` holds the degree-D terms, and each step is a term
     (degree dk > 0, packed monomial, coefficient) of S, sorted by dk.
-    The pass adds each step times part D into part D + dk.  Walked from the
+    The pass adds each step times part D into part D + dk, and only while
+    D + dk <= cap, so it needs no cap test per term.  Walked from the
     top down, each part is read before any lower part adds into it, so the
     parts are multiplied by 1 + S.  Walked upward, g = f / (1 - S) solves
     g = f + S*g, and each part already holds its quotient when it is read.
     """
+    add_shifted = _kernels.add_shifted
     top = cap - steps[0][0]
     for D in range(top + 1) if divide else range(top, -1, -1):
         src = parts[D]
         if not src:
             continue
+        room = cap - D
         for dk, key, coef in steps:
-            if D + dk > cap:
+            if dk > room:
                 break
-            _kernels.scale_accumulate(parts[D + dk], src, key, coef, cap, shift)
+            add_shifted(parts[D + dk], src, key, coef)
 
 
 def _merge(parts):
@@ -597,25 +608,10 @@ def euler_product(vars, trunc, factors):
     """The product of (1 - u)**(-e) over the (u, e) pairs in `factors`.
 
     Each u is a signed monomial of positive degree on `vars` and each e an
-    integer of either sign.  Equal signed u are merged by summing their e.
-    The product is kept as its parts by degree and changed in place by
-    one factor at a time, in one `_pass` over the terms C(n, j) * (-u)**j,
-    1 <= j <= min(n, trunc // deg u), of (1 - u)**n with n = |e|: for e < 0
-    the pass multiplies by (1 - u)**n, for e > 0 it divides by it.  Every
-    coefficient is an exact integer, so the order of the factors does not
-    change the product.  It sets the work, as each pass reads every part in
-    reach once per term: the factors are taken in decreasing |e|, so those
-    with the most terms (on the resolution side, the box factors (-q)**m
-    with e = |G| * m) run while the product is still short.  Among equal |e|
-    the polynomials (e < 0) go first, as the downward pass reads the product
-    before it is multiplied and the upward pass reads it after it is
-    divided; then decreasing degree of u, packed u and its sign break the
-    remaining ties.
+    integer of either sign; ValueError otherwise.  The checked pairs become
+    factor records for `euler_records`.
     """
-    check_vars(vars)
-    check_trunc(trunc)
-    shift = degree_shift(len(vars))
-    merged = {}  # (degree of u, packed u, sign of u) -> summed e
+    records = []
     for u, e in factors:
         if u.vars != vars:
             raise ValueError("variable sets differ")
@@ -623,8 +619,35 @@ def euler_product(vars, trunc, factors):
             raise ValueError("factor argument must have positive degree")
         if type(e) is not int:
             raise ValueError("factor exponent must be an integer")
-        key = (u.degree, u.packed(), u.sign)
-        merged[key] = merged.get(key, 0) + e
+        records.append((u.degree, u.packed(), u.sign, e))
+    return euler_records(vars, trunc, records)
+
+
+def euler_records(vars, trunc, records):
+    """The product of (1 - u)**(-e) over the factor records
+    (degree of u, packed u, sign of u, e) in `records`.
+
+    Each u has positive degree and each e is an int, as `euler_product` and
+    `macmahon_records` make them.  Records of equal signed u are merged by
+    summing their e.  The product is kept as its parts by degree and changed
+    in place by one factor at a time, in one `_pass` over the terms
+    C(n, j) * (-u)**j, 1 <= j <= min(n, trunc // deg u), of (1 - u)**n with
+    n = |e|: for e < 0 the pass multiplies by (1 - u)**n, for e > 0 it
+    divides by it.  Every coefficient is an exact integer, so the order of
+    the factors does not change the product.  It sets the work, as each pass
+    reads every part in reach once per term: the factors are taken in
+    decreasing |e|, so those with the most terms (on the resolution side,
+    the box factors (-q)**m with e = |G| * m) run while the product is
+    still short.  Among equal |e| the polynomials (e < 0) go first, as the
+    downward pass reads the product before it is multiplied and the upward
+    pass reads it after it is divided; then decreasing degree of u, packed
+    u and its sign break the remaining ties.
+    """
+    check_vars(vars)
+    check_trunc(trunc)
+    merged = {}  # (degree of u, packed u, sign of u) -> summed e
+    for d, key, sign, e in records:
+        merged[d, key, sign] = merged.get((d, key, sign), 0) + e
     parts = [{0: 1}] + [{} for _ in range(trunc)]  # parts[D] is the degree-D part
     order = sorted(merged.items(), key=lambda item: (abs(item[1]), item[1] < 0, item[0]), reverse=True)
     for (d, key, sign), e in order:
@@ -636,33 +659,46 @@ def euler_product(vars, trunc, factors):
             (j * d, j * key, (-1 if e > 0 else 1) * comb(n, j) * (-sign) ** j)
             for j in range(1, min(n, trunc // d) + 1)
         ]
-        _pass(parts, steps, e > 0, trunc, shift)
+        _pass(parts, steps, e > 0, trunc)
     return Series(vars, trunc, _merge(parts))
 
 
-def macmahon_factors(x, q, trunc, two_sided=False):
-    """The (u, e) pairs of macmahon(x, q), or of macmahon_tilde(x, q) if
-    `two_sided`, up to the last factor of degree at most `trunc`."""
+def macmahon_records(x, q, trunc, two_sided=False, power=1):
+    """The factor records of macmahon(x, q)**power, or of
+    macmahon_tilde(x, q)**power if `two_sided`, up to the last factor of
+    degree at most `trunc`: (degree of u, packed u, sign of u, m * power)
+    for each factor (1 - u)**(-m * power).
+
+    The records are read off the packed keys of x and q, as the key of a
+    product of monomials is the sum of their keys: u = x * q**m has key
+    key(x) + m * key(q) and sign sign(x) * sign(q)**m, and the mirror
+    u = q**m / x has key m * key(q) - key(x) and the same sign.  ValueError
+    if x and q are on different variables, if q has degree 0, or, for a
+    two-sided row, if x does not divide q, so that a mirror factor would
+    have a negative exponent, or if the first mirror factor has degree 0.
+    """
     if x.vars != q.vars:
         raise ValueError("variable sets differ")
-    if q.degree == 0:
+    dq = q.degree
+    if dq == 0:
         raise ValueError("q must have positive degree")
-    factors = []
+    dx, kx, kq, sx, sq = x.degree, x.packed(), q.packed(), x.sign, q.sign
+    records = []
     m = 1
-    while x.degree + m * q.degree <= trunc:
-        factors.append((x * q**m, m))
+    while dx + m * dq <= trunc:
+        records.append((dx + m * dq, kx + m * kq, sx * sq**m, m * power))
         m += 1
+    if not two_sided:
+        return records
+    if any(map(gt, x.exps, q.exps)):
+        raise ValueError("x does not divide q, so a mirror factor would have a negative exponent")
+    if dq == dx:
+        raise ValueError("mirror factor has degree 0; truncation is not well defined")
     m = 1
-    while two_sided:
-        # the mirror factors (1 - x**(-1) * q**m)**(-m)
-        u = q**m / x  # raises if x does not divide q**m
-        if u.degree > trunc:
-            break
-        if u.degree == 0:
-            raise ValueError("mirror factor has degree 0; truncation is not well defined")
-        factors.append((u, m))
+    while m * dq - dx <= trunc:
+        records.append((m * dq - dx, m * kq - kx, sx * sq**m, m * power))
         m += 1
-    return factors
+    return records
 
 
 def macmahon(x, q, trunc):
@@ -672,7 +708,7 @@ def macmahon(x, q, trunc):
     degree.  A negative sign on either is folded into the coefficients, so
     passing -q evaluates the function at a sign-flipped argument.
     """
-    return euler_product(q.vars, trunc, macmahon_factors(x, q, trunc))
+    return euler_records(q.vars, trunc, macmahon_records(x, q, trunc))
 
 
 def macmahon_tilde(x, q, trunc):
@@ -682,4 +718,4 @@ def macmahon_tilde(x, q, trunc):
     The unsigned part of `x` must divide that of `q`, so all stored exponents
     stay non-negative; the sign of x**(-1) equals the sign of x.
     """
-    return euler_product(q.vars, trunc, macmahon_factors(x, q, trunc, two_sided=True))
+    return euler_records(q.vars, trunc, macmahon_records(x, q, trunc, two_sided=True))

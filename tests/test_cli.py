@@ -387,11 +387,11 @@ def test_startup_imports_no_dataclasses_or_inspect():
     assert sorted(loaded & {"dataclasses", "inspect", "json", *UNLOADED_BY_THE_PARSER}) == []
 
 
-def fresh_cli(*argv, stdout):
-    """A `python -m boxcount.cli` process, its stderr piped."""
+def fresh_cli(*argv, stdout, stderr=subprocess.PIPE):
+    """A `python -m boxcount.cli` process, its stderr piped unless given."""
     src = str(Path(boxcount.__file__).resolve().parent.parent)
     return subprocess.Popen([sys.executable, "-m", "boxcount.cli", *argv], env=dict(os.environ, PYTHONPATH=src),
-                            stdout=stdout, stderr=subprocess.PIPE)
+                            stdout=stdout, stderr=stderr)
 
 
 def test_closed_pipe_exits_141_quietly():
@@ -421,6 +421,22 @@ def test_unwritable_stdout_exits_74_with_one_line(argv):
         _, err = proc.communicate(timeout=20)
     assert proc.returncode == 74
     assert err.decode().splitlines() == ["boxcount: error: cannot write output: No space left on device"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv, full_stdout, code", [
+    (["nope"], False, 2),
+    (["enum", "klein", "-N", "99"], False, 2),
+    (["formula", "klein", "-N", "3"], True, 74),
+], ids=["usage-error", "cap-error", "unwritable-stdout"])
+def test_unwritable_stderr_keeps_the_exit_code(argv, full_stdout, code):
+    # the message that cannot be written is dropped: a usage error still exits 2 and a
+    # failed write to stdout 74, where the failed message write made both exit 1
+    with open("/dev/full", "wb") as full:
+        proc = fresh_cli(*argv, stdout=full if full_stdout else subprocess.PIPE, stderr=full)
+        out, _ = proc.communicate(timeout=20)
+    assert proc.returncode == code
+    assert out in (None, b"")
 
 
 # run as `python -m boxcount.cli` runs it, after registering an exit handler

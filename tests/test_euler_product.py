@@ -5,10 +5,14 @@ Series.__pow__: for e < 0 the polynomial 1 - u, and for e > 0 the
 geometric series of (1 - u)**(-1), written out as a sum of monomials up to
 the cap.  A non-negative power only multiplies series, so the reference
 neither merges equal factors, forms a binomial coefficient nor runs the
-in-place pass under test, which Series.inverse also runs.
+in-place pass under test, which Series.inverse also runs.  The factor
+pairs of a row table come from `monomial_factors`, which multiplies and
+divides `Monomial`s, where the evaluator reads its factor records off
+packed keys.
 """
 
 import math
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,7 +20,7 @@ from hypothesis import strategies as st
 
 from boxcount import _kernels, formulas
 from boxcount.colouring import klein_group, zn_group
-from boxcount.series import Monomial, Series, euler_product, macmahon_factors
+from boxcount.series import Monomial, Series, degree_shift, euler_product, macmahon_records
 
 
 def naive_product(vars, trunc, factors):
@@ -33,6 +37,29 @@ def naive_product(vars, trunc, factors):
     return out
 
 
+def monomial_factors(x, q, trunc, two_sided=False):
+    """The (u, m) pairs of macmahon(x, q), or of macmahon_tilde(x, q) if
+    `two_sided`, by monomial arithmetic, up to the last factor of degree at
+    most `trunc`."""
+    factors = []
+    m = 1
+    while x.degree + m * q.degree <= trunc:
+        factors.append((x * q**m, m))
+        m += 1
+    m = 1
+    while two_sided:
+        u = q**m / x  # raises if x does not divide q**m
+        if u.degree > trunc:
+            break
+        factors.append((u, m))
+        m += 1
+    return factors
+
+
+def table_factors(rows, trunc):
+    return [(u, m * p) for x, q, p, two_sided in rows for u, m in monomial_factors(x, q, trunc, two_sided)]
+
+
 TABLES = (
     [(f"zn:{n}", lambda n=n: formulas.orbifold_rows(zn_group(n))) for n in range(1, 8)]
     + [("klein", lambda: formulas.orbifold_rows(klein_group())), ("pyramid", formulas.pyramid_rows), ("pair", formulas.pair_rows)]
@@ -42,6 +69,15 @@ TABLES = (
         for side, paired in (("resolution", False), ("paired", True))
     ]
 )
+# every closed table: the orbifold, resolution and paired rows of each group, and the pyramid and pair rows
+ALL_TABLES = (
+    [
+        (f"{name} {side}", lambda g=g, side=side: formulas.orbifold_rows(g) if side == "orbifold" else formulas.resolution_rows(g, side == "paired"))
+        for name, g in [(f"zn:{n}", zn_group(n)) for n in range(1, 8)] + [("klein", klein_group())]
+        for side in ("orbifold", "resolution", "paired")
+    ]
+    + [("pyramid", formulas.pyramid_rows), ("pair", formulas.pair_rows)]
+)
 
 
 @pytest.mark.parametrize("name, rows", TABLES, ids=[name for name, _ in TABLES])
@@ -49,9 +85,18 @@ def test_factor_tables_match_naive_product(name, rows):
     N = 10
     rows = rows()
     vars = rows[0][1].vars
-    factors = [(u, m * p) for x, q, p, two_sided in rows for u, m in macmahon_factors(x, q, N, two_sided)]
+    factors = table_factors(rows, N)
     assert euler_product(vars, N, factors) == naive_product(vars, N, factors)
     assert formulas.evaluate(rows, N) == naive_product(vars, N, factors)
+
+
+@pytest.mark.parametrize("name, rows", ALL_TABLES, ids=[name for name, _ in ALL_TABLES])
+@pytest.mark.parametrize("N", [0, 1, 7, 20])
+def test_records_are_the_monomial_factors(name, rows, N):
+    # key(x) + m key(q) and m key(q) - key(x) against x * q**m and q**m / x
+    rows = rows()
+    records = [r for x, q, p, two_sided in rows for r in macmahon_records(x, q, N, two_sided, p)]
+    assert records == [(u.degree, u.packed(), u.sign, e) for u, e in table_factors(rows, N)]
 
 
 @st.composite
@@ -100,16 +145,16 @@ def test_product_does_not_depend_on_factor_order(case, data):
 
 
 def kernel_terms(monkeypatch, evaluate, *args):
-    """The terms `evaluate(*args)` feeds to the kernel: every pass calls it
-    through the module, so the wrapper sees every term read."""
+    """The terms `evaluate(*args)` feeds to the pass kernel: every pass
+    calls it through the module, so the wrapper sees every term read."""
     fed = []
-    kernel = _kernels.scale_accumulate
+    kernel = _kernels.add_shifted
 
     def counting(dst, src, *args):
         fed.append(len(src))
         return kernel(dst, src, *args)
 
-    monkeypatch.setattr(_kernels, "scale_accumulate", counting)
+    monkeypatch.setattr(_kernels, "add_shifted", counting)
     evaluate(*args)
     return sum(fed)
 
@@ -118,23 +163,42 @@ def test_resolution_factors_run_most_steps_first(monkeypatch):
     # the box factors (-q)**m, e = 4m, run over the longest product when
     # taken highest degree first, and the passes then read 139,291 terms;
     # taking the polynomials before the divisions of equal |e| reads 74,484
-    assert kernel_terms(monkeypatch, formulas.dt_resolution, klein_group(), 28) <= 75_000
+    assert kernel_terms(monkeypatch, formulas.dt_resolution, klein_group(), 28) == 74_484
 
 
 @pytest.mark.parametrize(
-    "evaluate, args, bound",
+    "evaluate, args, count",
     [
         # 26,164, 13,899 and 19,800 terms with the divisions of equal |e| first
-        (formulas.closed_orbifold, (klein_group(), 30), 22_500),
-        (formulas.closed_pyramid, (30,), 13_000),
-        (formulas.dt_resolution_paired, (klein_group(), 28), 17_200),
+        (formulas.closed_orbifold, (klein_group(), 30), 22_260),
+        (formulas.closed_pyramid, (30,), 12_860),
+        (formulas.dt_resolution_paired, (klein_group(), 28), 16_999),
     ],
     ids=["formula klein", "formula pyramid", "dt klein paired"],
 )
-def test_polynomial_factors_run_before_divisions(monkeypatch, evaluate, args, bound):
+def test_polynomial_factors_run_before_divisions(monkeypatch, evaluate, args, count):
     # a polynomial pass leaves the product no longer than a division pass of
     # the same |e|, so taking it first shortens what the division reads
-    assert kernel_terms(monkeypatch, evaluate, *args) <= bound
+    assert kernel_terms(monkeypatch, evaluate, *args) == count
+
+
+@pytest.mark.parametrize("name, rows", ALL_TABLES, ids=[name for name, _ in ALL_TABLES])
+def test_every_pass_stays_within_the_cap(monkeypatch, name, rows):
+    # the pass kernel makes no degree test: every shifted term must already lie within the cap
+    N = 20
+    rows = rows()
+    shift = degree_shift(len(rows[0][1].vars))
+    calls = []
+    kernel = _kernels.add_shifted
+
+    def checking(dst, src, key, coef):
+        assert (max(src) + key) >> shift <= N
+        calls.append(key)
+        return kernel(dst, src, key, coef)
+
+    monkeypatch.setattr(_kernels, "add_shifted", checking)
+    formulas.evaluate(rows, N)
+    assert calls
 
 
 def test_equal_factors_merge():
@@ -196,3 +260,55 @@ def test_degree_zero_factor_raises():
 def test_foreign_variables_raise():
     with pytest.raises(ValueError):
         euler_product(("x", "y"), 4, [(Monomial.var(("x",), "x"), 1)])
+
+
+XY_Q = Monomial.from_exponents(XY, {"x": 1, "y": 1})
+ONE_SIDED_ROW = (Monomial.one(XY), XY_Q, 1, False)
+
+
+def refused_row(x, q, N, two_sided=True):
+    """Check that both the record builder and `formulas.evaluate` refuse the
+    row (x, q, 1, two_sided), evaluated after a row they accept, and return
+    the builder's message."""
+    with pytest.raises(ValueError) as builder:
+        macmahon_records(x, q, N, two_sided)
+    with pytest.raises(ValueError, match=re.escape(str(builder.value))):
+        formulas.evaluate([ONE_SIDED_ROW, (x, q, 1, two_sided)], N)
+    return str(builder.value)
+
+
+@pytest.mark.parametrize("N", [0, 1, 6])
+def test_two_sided_row_whose_x_does_not_divide_q_raises(N):
+    # at every N, as the first mirror factor q / x is formed before the cap is read
+    for x in (Monomial.var(XY, "x", 2), -Monomial.from_exponents(XY, {"x": 2, "y": 1})):
+        assert "does not divide" in refused_row(x, XY_Q, N)
+    # one-sided, the same row has no mirror factors
+    row = (Monomial.var(XY, "x", 2), XY_Q, 1, False)
+    assert formulas.evaluate([ONE_SIDED_ROW, row], 6) == naive_product(XY, 6, table_factors([ONE_SIDED_ROW, row], 6))
+
+
+@pytest.mark.parametrize("N", [0, 4])
+def test_degree_zero_mirror_factor_raises(N):
+    for x in (XY_Q, -XY_Q):
+        assert refused_row(x, XY_Q, N) == "mirror factor has degree 0; truncation is not well defined"
+
+
+def test_degree_zero_q_raises():
+    assert refused_row(Monomial.one(XY), Monomial.one(XY), 4, False) == "q must have positive degree"
+
+
+def test_foreign_variables_in_rows_raise():
+    # x and q on different variables
+    assert refused_row(Monomial.var(("x",), "x"), XY_Q, 4) == "variable sets differ"
+    # a row on other variables than the first row's
+    q = Monomial.from_exponents(("x", "z"), {"x": 1, "z": 1})
+    with pytest.raises(ValueError, match="variable sets differ"):
+        formulas.evaluate([ONE_SIDED_ROW, (Monomial.one(q.vars), q, 1, False)], 4)
+
+
+def test_records_are_exact_where_a_lane_of_x_and_q_overflows():
+    # the mirror factor q / x = y has degree 1, though x and q have a lane of 300
+    x = Monomial.var(XY, "x", 300)
+    q = Monomial.from_exponents(XY, {"x": 300, "y": 1})
+    assert macmahon_records(x, q, 5, True) == [(1, Monomial.var(XY, "y").packed(), 1, 1)]
+    assert formulas.evaluate([(x, q, 1, True)], 5) == euler_product(XY, 5, [(Monomial.var(XY, "y"), 1)])
