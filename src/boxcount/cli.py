@@ -31,9 +31,9 @@ from boxcount.series import MAX_TRUNC, Monomial
 
 # --threads is range-checked against this and otherwise ignored: enumeration is serial
 MAX_THREADS = 64
-# upper bound of verify-ops --basis: with the default -N 6 the catalogue takes ~4 s at 8 on a 2-core box
+# upper bound of verify-ops --basis: with the default -N 6 the catalogue takes ~1 s at 8 on a 2-core box
 MAX_BASIS = 8
-# upper bound of verify-ops -N: --basis 8 -N 8 takes ~6 s on a 2-core box, -N 12 took 16 s
+# upper bound of verify-ops -N: --basis 8 -N 8 takes ~2.3 s on a 2-core box, -N 12 takes 11 s
 MAX_OPS_TRUNC = 8
 # upper bound of -N on every route that enumerates piles (enum, pyramid, sign, and verify's
 # group, pyramid, transfer: and sign: targets); see README for the slowest accepted case

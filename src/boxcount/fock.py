@@ -4,9 +4,8 @@ A state, `FockState`, is a plain record giving each partition a non-empty
 amplitude in the truncated series ring: operations drop the amplitudes that
 cancel, so equal states have equal fields.  The operators act slice-wise:
 the raising and lowering operators move between interlacing partitions
-(their primed variants conjugate first), weight operators read off a colour
-for each cell of a partition, and the mode operators add or remove border
-strips with alternating signs.  Each only lists where a partition moves,
+(their primed variants conjugate first), and weight operators read off a
+colour for each cell of a partition.  Each only lists where a partition moves,
 with which monomial, sign and degree cap; one loop, `_act`, applies them.
 
 Composing weight and raising/lowering operators across a window of slices
@@ -115,17 +114,6 @@ class FockState(NamedTuple):
                 out[lam] = prod
         return FockState(self.vars, self.trunc, out)
 
-    def __add__(self, other):
-        if not isinstance(other, FockState):
-            return NotImplemented
-        if other.vars != self.vars or other.trunc != self.trunc:
-            raise ValueError("states live in different rings")
-        shift = degree_shift(len(self.vars))
-        out = {lam: dict(amp) for lam, amp in self.amps.items()}
-        for lam, amp in other.amps.items():
-            _kernels.scale_accumulate(out.setdefault(lam, {}), amp, 0, 1, self.trunc, shift)
-        return FockState(self.vars, self.trunc, {l: a for l, a in out.items() if a})
-
     def is_zero(self):
         return not self.amps
 
@@ -138,7 +126,6 @@ class FockState(NamedTuple):
 # An operator is a small tuple:
 #   ("gamma", grow, primed, arg)   raising (grow=True) / lowering, arg a Monomial
 #   ("weight", colours)            multiply by q_c for each cell, c its colour
-#   ("alpha", n)                   n < 0 adds |n|-strips, n > 0 removes, signed
 #
 # The even parts are words, not operators: gamma(arg) o gamma(-arg).
 
@@ -158,12 +145,6 @@ def weight_op(*colours):
     if any(type(c) is not int for c in colours):
         raise ValueError(f"colours must be ints, got {colours!r}")
     return ("weight", colours)
-
-
-def alpha_op(n):
-    if type(n) is not int or n == 0:
-        raise ValueError(f"mode index must be a non-zero int, got {n!r}")
-    return ("alpha", n)
 
 
 def even_minus(arg):
@@ -268,14 +249,6 @@ def apply_op(state, op, owed=None):
 
         def moves(mu, amp):
             return [(mu, sum(map(mul, young.content_counts(mu, len(units)), units)), 1, cap)]
-
-    elif kind == "alpha":
-        n = op[1]
-        strips = young.add_border_strip if n < 0 else young.remove_border_strip
-
-        def moves(mu, amp):
-            # a strip spanning h rows carries the sign (-1)^(h-1)
-            return [(lam, 0, 1 if h % 2 else -1, cap) for lam, h in strips(mu, abs(n))]
 
     else:
         raise ValueError(f"unknown operator {op!r}")

@@ -15,15 +15,14 @@ variables and cases; a case is (case name, left word, right word, split),
 where split is the (plus, minus) pair of gamma words whose exchange scalar
 multiplies the right word, or None when the words are equal outright.
 `check` runs a row and returns (ok, witness), the witness being (case
-name, first failing partition) or None.  The Heisenberg relation is
-additive, not an exchange, so `heisenberg` is a function of its own.
+name, first failing partition) or None.
 """
 
 from __future__ import annotations
 
-from boxcount import fock, young
-from boxcount.fock import FockState, alpha_op, apply_ops, even_minus, even_plus, gamma_minus, gamma_plus, weight_op
-from boxcount.series import Monomial, Series, euler_product
+from boxcount import fock
+from boxcount.fock import even_minus, even_plus, gamma_minus, gamma_plus, weight_op
+from boxcount.series import Monomial, euler_product
 
 
 def exchange_factors(plus, minus):
@@ -167,28 +166,7 @@ def check(name, trunc, max_basis):
     return True, None
 
 
-def heisenberg(max_basis):
-    """[alpha_m, alpha_n] = m * delta(m+n) * Id for |m|, |n| <= 4 on all small basis states."""
-    V = ("q",)
-    trunc, max_mode = 1, 4
-    one = Monomial.one(V)
-    for m in range(-max_mode, max_mode + 1):
-        for n in range(-max_mode, max_mode + 1):
-            if m == 0 or n == 0:
-                continue
-            for mu in young.partitions_up_to(max_basis):
-                base = FockState.basis(mu, V, trunc)
-                left = apply_ops(base, [alpha_op(m), alpha_op(n)])
-                right = apply_ops(base, [alpha_op(n), alpha_op(m)])
-                diff = left + right.scale(-one)
-                want = base.scale(Series.one(V, trunc) * m) if m + n == 0 else FockState(V, trunc, {})
-                if diff != want:
-                    return False, (m, n, mu)
-    return True, None
-
-
 def run_all(trunc, max_basis):
     """Yield (name, ok, witness) for every catalogued identity."""
-    yield ("heisenberg", *heisenberg(max_basis=max_basis + 2))
     for name in CATALOGUE:
         yield (name, *check(name, trunc, max_basis))

@@ -1,8 +1,7 @@
 """Integer partitions as weakly decreasing tuples.
 
-Provides the interlacing order on partitions, conjugation, and border-strip
-moves computed on beta-numbers (first-column hook lengths shifted by the row
-index), which is what the transfer operators are built from.
+Provides the interlacing order on partitions, conjugation and the content
+tally of cells, which is what the transfer operators are built from.
 """
 
 from __future__ import annotations
@@ -112,47 +111,3 @@ def interlacing_below(lam):
 def interlacing_above(mu, max_size):
     """All lam covering mu with at most max_size boxes, sorted by (size, rows)."""
     return _rows_between(mu + (0,), (max_size,) + mu, max_size - sum(mu))
-
-
-def _beta(p, window):
-    return set(p[i] - (i + 1) for i in range(len(p))) | set(
-        -(i + 1) for i in range(len(p), window)
-    )
-
-
-def _from_beta(beta):
-    rows = []
-    for i, b in enumerate(sorted(beta, reverse=True)):
-        rows.append(b + i + 1)
-    return tuple(r for r in rows if r)
-
-
-def _move_bead(p, length, sign):
-    """All (partition, rows spanned) from moving one bead by sign * length.
-
-    A strip move is a bead jump on the beta-numbers; the number of beads
-    passed over plus one is the number of rows the strip occupies.
-    """
-    if length < 1:
-        raise ValueError("strip length must be positive")
-    window = len(p) + length
-    beta = _beta(p, window)
-    out = []
-    for b in beta:
-        t = b + sign * length
-        # positions below the window belong to empty rows, hence occupied
-        if t in beta or t < -window:
-            continue
-        height = sum(1 for s in beta if min(b, t) < s < max(b, t)) + 1
-        out.append((_from_beta(beta - {b} | {t}), height))
-    return sorted(out, key=lambda t: t[0])
-
-
-def add_border_strip(p, length):
-    """All (partition, rows spanned) from adding a connected strip of cells."""
-    return _move_bead(p, length, 1)
-
-
-def remove_border_strip(p, length):
-    """All (partition, rows spanned) from removing a connected strip."""
-    return _move_bead(p, length, -1)

@@ -71,7 +71,7 @@ def test_verify_pyramid_at_the_enumeration_cap(capsys):
 def test_verify_ops(capsys):
     code, out = run(capsys, "verify-ops", "-N", str(relations.MIN_TRUNC), "--basis", "2")
     assert code == 0
-    assert out.count("ok:") == 6
+    assert out.splitlines() == [f"ok: {name}" for name in relations.CATALOGUE]
 
 
 def test_usage_errors_exit_2(capsys):
@@ -269,7 +269,10 @@ def test_mismatch_reporting(capsys):
          ["enum", "klein"], ["enum", "z3diag"], ["pyramid"], ["sign", "zn:3"], ["verify", "klein"],
          ["verify", "zn:3"], ["verify", "pyramid"], ["verify", "transfer:z2z2"], ["verify", "transfer:pyramid"],
          ["verify", "transfer:pyramid-checkerboard"], ["verify", "transfer:z3diag"], ["verify", "sign:zn:3"],
-         ["verify", "sign:klein"]))],
+         ["verify", "sign:klein"])),
+     pytest.param(["verify-ops", "--basis", str(cli.MAX_BASIS + 1)], id="verify-ops-basis-above-max"),
+     pytest.param(["verify-ops", "-N", str(cli.MAX_OPS_TRUNC + 1)], id="verify-ops-N-above-max"),
+     pytest.param(["verify-ops", "-N", str(relations.MIN_TRUNC - 1)], id="verify-ops-N-below-min")],
     ids=lambda argv: "-".join(argv[:-2]) or "no-arguments",
 )
 def test_out_of_range_truncation_is_rejected_before_any_work(argv):

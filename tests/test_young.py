@@ -92,46 +92,6 @@ def test_interlacing_neighbours(mu):
                 assert nu in below
 
 
-# reference border-strip model: direct skew-shape scan, no bead encoding
-
-
-def ref_strip_additions(mu, length):
-    out = []
-    for lam in young.partitions_of(young.size(mu) + length):
-        if not contains(lam, mu):
-            continue
-        skew = set(young.cells(lam)) - set(young.cells(mu))
-        if any({(i + 1, j), (i, j + 1), (i + 1, j + 1)} <= skew for i, j in skew):
-            continue
-        seen = {next(iter(skew))}
-        frontier = list(seen)
-        while frontier:
-            i, j = frontier.pop()
-            for nb in ((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)):
-                if nb in skew and nb not in seen:
-                    seen.add(nb)
-                    frontier.append(nb)
-        if seen == skew:
-            out.append((lam, len({i for i, _ in skew})))
-    return sorted(out)
-
-
-def test_border_strips_match_reference():
-    for mu in young.partitions_up_to(5):
-        for length in range(1, 5):
-            assert sorted(young.add_border_strip(mu, length)) == ref_strip_additions(mu, length)
-
-
-def test_border_strip_removal_inverts_addition():
-    for mu in young.partitions_up_to(5):
-        for length in range(1, 5):
-            added = young.add_border_strip(mu, length)
-            for lam, rows in added:
-                assert (mu, rows) in young.remove_border_strip(lam, length)
-            for nu, rows in young.remove_border_strip(mu, length):
-                assert (mu, rows) in young.add_border_strip(nu, length)
-
-
 def test_check_partition_rejects_bad_shapes():
     with pytest.raises(ValueError):
         young.check_partition((1, 2))

@@ -148,18 +148,6 @@ def entry_table(table):
 
 def main():
     cap = 4
-
-    alpha = {}
-    for n in range(1, 5):
-        for mu in partitions_up_to(cap):
-            if sum(mu) + n > 6:
-                continue
-            for lam, sign in strip_additions(mu, n):
-                alpha[(n, lam, mu)] = sign
-    print("# <lam| A_n |mu> entries, |mu| <= 4, |lam| <= 6")
-    print(f"ALPHA_STRIPS = {alpha!r}")
-    print()
-
     plain = entry_table(exp_T({n: Fraction(1, n) for n in range(1, cap + 1)}, cap))
     primed = entry_table(exp_T({n: Fraction((-1) ** (n - 1), n) for n in range(1, cap + 1)}, cap))
     even = entry_table(exp_T({n: Fraction(2, n) if n % 2 == 0 else Fraction(0) for n in range(1, cap + 1)}, cap))
