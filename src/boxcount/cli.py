@@ -19,12 +19,10 @@ most commands compute.
 also write each command's help and the usage line of each usage error.
 """
 
-from __future__ import annotations
-
 import os
 import sys
+from collections import namedtuple
 from functools import lru_cache
-from typing import Callable, NamedTuple
 
 from boxcount import colouring
 from boxcount.series import MAX_TRUNC, Monomial
@@ -40,10 +38,11 @@ MAX_OPS_TRUNC = 8
 MAX_ENUM_TRUNC = 24
 
 
-class Route(NamedTuple):
-    label: str  # what `verify` calls it
-    enumerates: bool  # walks the piles, so -N is capped at MAX_ENUM_TRUNC
-    series: Callable  # truncation -> Series
+class Route(namedtuple("Route", "label enumerates series")):
+    # label: what `verify` calls it
+    # enumerates: walks the piles, so -N is capped at MAX_ENUM_TRUNC
+    # series: truncation -> Series
+    __slots__ = ()
 
 
 def route(command, which=None, side="orbifold"):
@@ -172,12 +171,11 @@ def _ops_trunc(text):
     return _int_in("truncation", relations.MIN_TRUNC, MAX_OPS_TRUNC)(text)
 
 
-class Option(NamedTuple):
-    flags: tuple  # its spellings, each also taken as flag=value, and a one-letter one as -Nvalue
-    dest: str
-    convert: Callable | tuple  # text -> value, raising ValueError with the message; or the words it takes
-    default: object  # None: the option is required
-    help: str
+class Option(namedtuple("Option", "flags dest convert default help")):
+    # flags: its spellings, each also taken as flag=value, and a one-letter one as -Nvalue
+    # convert: text -> value, raising ValueError with the message; or the words it takes
+    # default: None: the option is required
+    __slots__ = ()
 
 
 TRUNC = Option(

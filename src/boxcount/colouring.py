@@ -19,23 +19,18 @@ them.  A group's `kind` (its name up to the first colon) keys the
 closed-form records in `boxcount.formulas`, and nothing here.  Each group
 carries one series variable per element, identity first.
 
-`Group` is a plain immutable record, a NamedTuple of (name, variables,
-characters) like the other records of the package, so that importing it
-costs no more than a tuple class; `order`, `kind` and `digits` are read off
-those three fields.
+`Group` is a plain immutable record, a named tuple of (name, variables,
+characters) like the other records of the package; `order`, `kind` and
+`digits` are read off those three fields.
 """
 
-from __future__ import annotations
-
-from typing import NamedTuple
+from collections import namedtuple
 
 from boxcount.series import MAX_VARS
 
 
-class Group(NamedTuple):
-    name: str
-    variables: tuple
-    characters: tuple
+class Group(namedtuple("Group", "name variables characters")):
+    __slots__ = ()
 
     @property
     def order(self):

@@ -22,8 +22,6 @@ Each action also admits a closed sign rule in the colour counts alone; the
 tests check the routes agree on every pile.
 """
 
-from __future__ import annotations
-
 from boxcount import colouring
 
 # (1 - t1^-1)(1 - t2^-1) with the third weight eliminated: exponent -> coeff

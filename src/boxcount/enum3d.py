@@ -19,8 +19,6 @@ produced once.  It shares no code with the walk, and the tests hold the
 two enumerations to the same series.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 
 from boxcount import colouring, ideals, young

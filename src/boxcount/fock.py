@@ -64,27 +64,24 @@ them up from the vacuum and joining near slice 0 saves most of the work of
 carrying them down; m is a measured function of N.
 """
 
-from __future__ import annotations
-
+from collections import namedtuple
 from functools import lru_cache
 from operator import mul
-from typing import Callable, NamedTuple
 
 from boxcount import _kernels, young
-from boxcount.colouring import KLEIN_VARS, SLICE_COLOUR, Group, colour_index, klein_group, parse_group
+from boxcount.colouring import KLEIN_VARS, SLICE_COLOUR, colour_index, klein_group, parse_group
 from boxcount.series import Monomial, Series, check_trunc, check_vars, degree_shift, var_key
 
 
-class FockState(NamedTuple):
+class FockState(namedtuple("FockState", "vars trunc amps")):
     """Finitely many partitions with series-valued amplitudes: a plain record.
 
     `amps` holds no empty amplitude (every operation drops those that
     cancel), so equal states have equal fields and the zero state is {}.
     """
 
-    vars: tuple
-    trunc: int
-    amps: dict  # partition -> non-empty packed-key term dict
+    # amps: partition -> non-empty packed-key term dict
+    __slots__ = ()
 
     @classmethod
     def vacuum(cls, vars, trunc):
@@ -286,12 +283,12 @@ def check_relation(vars, trunc, left_ops, right_ops, max_basis, scalar=None):
 # -- transfer machines -------------------------------------------------------
 
 
-class Machine(NamedTuple):
+class Machine(namedtuple("Machine", "vars slices group")):
     """A slice table; the module docstring describes the walk."""
 
-    vars: tuple
-    slices: Callable  # slice index -> (weight operator, creator primed?)
-    group: Group | None  # colouring of the box piles counted; None: pyramid
+    # slices: slice index -> (weight operator, creator primed?)
+    # group: colouring of the box piles counted; None: pyramid
+    __slots__ = ()
 
 
 def group_machine(group):

@@ -28,19 +28,18 @@ independent tables.  The enumeration and transfer modules compute the same
 series by entirely different means, and the tests compare them exactly.
 """
 
-from __future__ import annotations
-
-from typing import NamedTuple
+from collections import namedtuple
 
 from boxcount.colouring import klein_group, zn_group
 from boxcount.series import Monomial, euler_records, macmahon_records
 from boxcount.series import macmahon, macmahon_tilde  # noqa: F401  (re-exported: perfbench/tracer.py probes them here)
 
 
-class ClosedForm(NamedTuple):
-    classes: tuple  # (colour variables a curve class covers, multiplicity) pairs; none covers q0
-    signs: tuple  # colour variables whose sign flip turns box counting into its signed version
-    curves: tuple  # the curve variable standing in for each colour variable after q0
+class ClosedForm(namedtuple("ClosedForm", "classes signs curves")):
+    # classes: (colour variables a curve class covers, multiplicity) pairs; none covers q0
+    # signs: colour variables whose sign flip turns box counting into its signed version
+    # curves: the curve variable standing in for each colour variable after q0
+    __slots__ = ()
 
 
 KLEIN = ClosedForm(

@@ -21,8 +21,6 @@ ideals of the largest size from their parent's frontier without descending
 to them.  The box piles of `boxcount.enum3d` are counted this way.
 """
 
-from __future__ import annotations
-
 
 def _links(parents):
     """The children of each element, its count of parents, and the minimal elements."""

@@ -23,8 +23,6 @@ the key below it.  `PyramidPartition` checks a pile and reads its diagonal
 slices.
 """
 
-from __future__ import annotations
-
 from boxcount import ideals, young
 from boxcount.colouring import KLEIN_VARS, SLICE_COLOUR
 from boxcount.series import Series, var_key

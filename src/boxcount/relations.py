@@ -18,8 +18,6 @@ multiplies the right word, or None when the words are equal outright.
 name, first failing partition) or None.
 """
 
-from __future__ import annotations
-
 from boxcount import fock
 from boxcount.fock import even_minus, even_plus, gamma_minus, gamma_plus, weight_op
 from boxcount.series import Monomial, euler_product

@@ -61,8 +61,6 @@ factor records and call `euler_records`.  They, `Series.inverse` and
 probes.
 """
 
-from __future__ import annotations
-
 from math import comb
 from operator import add, gt, sub
 

@@ -4,7 +4,7 @@ Provides the interlacing order on partitions, conjugation and the content
 tally of cells, which is what the transfer operators are built from.
 """
 
-from __future__ import annotations
+from itertools import product
 
 
 def is_partition(p):
@@ -29,11 +29,11 @@ def size(p):
 
 
 def conjugate(p):
-    if not p:
-        return ()
+    # a column is as long as the number of rows that reach it, so the
+    # p[i-1] - p[i] columns that end in row i (counted from 1) have length i
     out = []
-    for j in range(p[0]):
-        out.append(sum(1 for row in p if row > j))
+    for i in range(len(p), 0, -1):
+        out += [i] * (p[i - 1] - (p[i] if i < len(p) else 0))
     return tuple(out)
 
 
@@ -90,17 +90,13 @@ def _rows_between(lo, hi, budget):
     """Partitions with row i in [lo[i], hi[i]] for i < len(hi) and at most
     `budget` boxes beyond lo, sorted by (size, rows).  Both callers' bounds
     force weakly decreasing rows, so distinct row choices never coincide."""
-    out = []
-
-    def rec(i, rows, left):
-        if i == len(hi):
-            out.append(tuple(r for r in rows if r))
-            return
-        for v in range(lo[i], min(hi[i], lo[i] + left) + 1):
-            rec(i + 1, rows + [v], left - (v - lo[i]))
-
-    rec(0, [], budget)
-    return sorted(out, key=lambda p: (sum(p), p))
+    ranges = [range(low, min(high, low + budget) + 1) for low, high in zip(lo, hi)]
+    limit = sum(lo) + budget
+    rows = [r for r in product(*ranges) if sum(r) <= limit]
+    # product yields the rows in lexicographic order, which dropping their
+    # trailing zeros keeps, so a stable sort by size gives the (size, rows) order
+    rows.sort(key=sum)
+    return [r[:r.index(0)] if 0 in r else r for r in rows]
 
 
 def interlacing_below(lam):

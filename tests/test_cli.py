@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 import boxcount
-from boxcount import cli, enum3d, pyramid, relations
-from boxcount.colouring import zn_group
+from boxcount import cli, enum3d, fock, formulas, pyramid, relations
+from boxcount.colouring import klein_group, zn_group
 from boxcount.enum3d import coloured_series
 from boxcount.formulas import closed_zn
 from boxcount.series import Series
@@ -324,6 +324,22 @@ def test_routes_are_built_without_running(no_enumeration):
         assert len(cli.verify_routes(target)) >= 2
 
 
+@pytest.mark.parametrize(
+    "make",
+    [klein_group, lambda: cli.route("transfer", "z2z2"), lambda: cli.TRUNC,
+     lambda: fock.FockState.vacuum(("q0",), 2), lambda: fock.MACHINES["z2z2"], lambda: formulas.KLEIN],
+    ids=["Group", "Route", "Option", "FockState", "Machine", "ClosedForm"],
+)
+def test_records_are_immutable(make):
+    # a subclass without `__slots__ = ()` would grow a __dict__ and take new attributes
+    record = make()
+    with pytest.raises(AttributeError):
+        record.note = 1
+    with pytest.raises(AttributeError):
+        setattr(record, record._fields[0], None)
+    assert type(record._replace()) is type(record)
+
+
 def test_verify_sign_enumerates_once(capsys, monkeypatch):
     calls = []
     walk = enum3d.coloured_series
@@ -378,16 +394,17 @@ def test_verify_and_help_load_no_parser_module(argv):
     assert sorted(loaded & UNLOADED_BY_THE_PARSER) == []
 
 
-def test_startup_imports_no_dataclasses_or_inspect():
+def test_startup_imports_no_typing_dataclasses_or_inspect():
     # without site, what is left is what boxcount itself imports; the
-    # benchmark's setup command imports these modules in every pass
+    # benchmark's setup command imports these modules in every pass.  The
+    # records are named tuples, so neither typing nor __future__ loads
     loaded = loaded_modules(
         "-S",
         code="import boxcount.cli, boxcount.enum3d, boxcount.pyramid, boxcount.dtsign, boxcount.fock, boxcount.formulas\n"
              "boxcount.cli.main(['sign', 'zn:3', '-N', '4', '--format', 'json'])",
     )
     assert {"boxcount.fock", "boxcount.formulas"} <= loaded
-    assert sorted(loaded & {"dataclasses", "inspect", "json", *UNLOADED_BY_THE_PARSER}) == []
+    assert sorted(loaded & {"__future__", "typing", "dataclasses", "inspect", "json", *UNLOADED_BY_THE_PARSER}) == []
 
 
 def fresh_cli(*argv, stdout, stderr=subprocess.PIPE):
